@@ -821,36 +821,6 @@ func BenchmarkCharacterizeBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicScheduler exercises the dynamic (arrival/departure)
-// cluster study extension on a synthetic degradation table.
-func BenchmarkDynamicScheduler(b *testing.B) {
-	tbl := cluster.NewTable([]string{"svc"}, []string{"quiet", "noisy"}, 6)
-	for n := 1; n <= 6; n++ {
-		tbl.Set("svc", "quiet", n, cluster.Entry{Actual: 0.01 * float64(n), Predicted: 0.01 * float64(n)})
-		tbl.Set("svc", "noisy", n, cluster.Entry{Actual: 0.12 * float64(n), Predicted: 0.12 * float64(n)})
-	}
-	study := &cluster.DynamicStudy{
-		Table: &cluster.Study{
-			Table:             tbl,
-			ServersPerApp:     1000,
-			ThreadsPerServer:  6,
-			ContextsPerServer: 12,
-			Seed:              3,
-		},
-		ArrivalRate:  200,
-		MeanDuration: 5,
-		Horizon:      50,
-		Seed:         9,
-	}
-	for i := 0; i < b.N; i++ {
-		r, err := study.Run(cluster.PolicySMiTe, 0.90)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.MeanUtilization*100, "mean-util-%")
-	}
-}
-
 // clusterSimBench assembles a discrete-event cluster run on a synthetic
 // co-location world: surrogate tier first, measured-table fallback, QoS
 // surface precomputed once through the Predictor seam. Shared setup for

@@ -10,10 +10,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/cluster"
 	clworkload "repro/internal/cluster/workload"
 	"repro/internal/isol"
-	"repro/internal/qosd"
 	"repro/internal/sim/isa"
 )
 
@@ -242,9 +242,9 @@ func parseIsolLadder(spec string) ([]isol.Setting, error) {
 
 // sloParams parses the -slo-* flags into simulation parameters, mapping
 // every malformed value onto a typed FlagError so smited and clustersim
-// agree on the class grammar (qosd.ParseSLOClasses) and on exiting 2.
+// agree on the class grammar (admit.ParseClasses) and on exiting 2.
 func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
-	classes, err := qosd.ParseSLOClasses(o.sloClasses)
+	classes, err := admit.ParseClasses(o.sloClasses)
 	if err != nil {
 		return nil, &FlagError{Flag: "slo-classes", Value: o.sloClasses, Reason: err.Error()}
 	}

@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/qosd"
 	"repro/internal/version"
 	"repro/smite"
@@ -164,7 +165,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		return cfg, errors.New("-surrogate-threshold is set but no -surrogate file is given")
 	}
 	if cfg.sloConfig != "" {
-		classes, err := qosd.ParseSLOClasses(cfg.sloConfig)
+		classes, err := admit.ParseClasses(cfg.sloConfig)
 		if err != nil {
 			return cfg, &FlagError{Flag: "slo-config", Value: cfg.sloConfig, Reason: err.Error()}
 		}

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/admit"
 	"repro/internal/ctrl/drift"
-	"repro/internal/qosd"
-	"repro/internal/queueing"
 )
 
 // This file closes the loop inside the discrete-event simulator
@@ -16,7 +15,7 @@ import (
 // detector (internal/ctrl/drift) over its observed-vs-predicted
 // degradations, re-characterizes confirmed (lat, batch) pairs against the
 // measured surface, re-scores its admission gate through the same
-// qosd.EvaluateAdmission check the static gate was built with, and
+// admit.Evaluate check the static gate was built with, and
 // migrates the worst-offending machine's newest instance off the drifted
 // cell. Everything is shard-local and event-ordered, so runs stay
 // bit-identical at any worker count.
@@ -113,8 +112,7 @@ func buildDriftWorld(t *PredTable, p *SLOSimParams, spec *DriftSpec) *driftWorld
 					w.actualQoS[i] = clamp01(1 - (1-t.ActualQoS[i])*spec.Factor)
 				}
 				if p != nil {
-					actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, w.actualDeg[i])
-					w.violate[i] = !(actualTail <= cl.Budget)
+					w.violate[i] = cl.violates(w.actualDeg[i])
 				}
 			}
 		}
@@ -195,17 +193,17 @@ func (s *shardSim) observeClosedLoop(lat, b int, cell int, at float64) {
 // recharacterize refreshes a confirmed pair's whole instance-count column
 // against the measured surface — the simulator's analogue of routing the
 // flagged app back through the characterization sweep — and re-scores the
-// admission gate with the same qosd check the static gate used, now with
+// admission gate with the same admit check the static gate used, now with
 // a zero bound (the refreshed cells are measured, not predicted).
 func (s *shardSim) recharacterize(lat, b int, at float64) {
 	cl := s.cl
 	slo := cl.params.classFor(lat)
-	class := qosd.SLOClass{Name: slo.Name, Budget: slo.Budget, Percentile: slo.Percentile}
+	class := slo.class()
 	for n := 1; n <= s.maxInst; n++ {
 		i := s.t.Cell(lat, b, n)
 		cl.predDeg[i] = s.actualDegAt(at, i)
 		cl.predBound[i] = 0
-		dec := qosd.EvaluateAdmission(cl.predDeg[i], 0, slo.Mu, slo.Lambda, class, cl.params.Headroom)
+		dec := admit.Evaluate(cl.predDeg[i], 0, slo.Mu, slo.Lambda, class, cl.params.Headroom)
 		cl.admit[i] = dec.Admitted
 		cl.slack[i] = dec.EffectiveBudget - dec.Tail
 	}
@@ -239,38 +237,5 @@ func (s *shardSim) migrateWorst(lat, b int, at float64) {
 	if worstState < 0 {
 		return
 	}
-	victim := int32(s.buckets[worstState].Min().handle)
-	vm := &s.machines[victim]
-	// Take the victim out of the bucket scan so the admission pass cannot
-	// stack the instance straight back onto the machine it came from.
-	s.buckets[worstState].Remove(int64(victim))
-	target := s.admit(b)
-	if target < 0 {
-		s.buckets[worstState].Push(0, 0, int64(victim))
-		s.res.migrationsFailed++
-		return
-	}
-	// Detach the newest instance (its departure event rides along).
-	h := vm.jobs[len(vm.jobs)-1]
-	vm.jobs = vm.jobs[:len(vm.jobs)-1]
-	vm.n--
-	if vm.n == 0 {
-		vm.batch = -1
-	}
-	s.buckets[s.stateOf(vm)].Push(0, 0, int64(victim))
-
-	tm := &s.machines[target]
-	s.buckets[s.stateOf(tm)].Remove(int64(target))
-	tm.batch = int16(b)
-	tm.n++
-	s.buckets[s.stateOf(tm)].Push(0, 0, int64(target))
-	tm.jobs = append(tm.jobs, h)
-	s.owner[h] = target
-
-	s.res.migrations++
-	s.res.log = append(s.res.log, Placement{
-		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
-		Machine: s.globalID(target), Lat: tm.lat, Batch: int16(b), N: tm.n,
-		Kind: PlacementMigrate, From: s.globalID(victim),
-	})
+	s.migrate(int32(s.buckets[worstState].Min().handle), worstState, b, at)
 }

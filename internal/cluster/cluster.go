@@ -118,8 +118,8 @@ const (
 	// predictions.
 	PolicyRandom
 	// PolicySLO admits on the error-bound-inflated Eq. 6 tail-latency
-	// estimate against per-class budgets (SimConfig.SLO), mirroring
-	// qosd's POST /v1/admit gate inside the discrete-event simulator.
+	// estimate against per-class budgets (SimConfig.SLO): internal/admit's
+	// gate, the one qosd serves at POST /v1/admit.
 	PolicySLO
 	// PolicyClosedLoop starts from the PolicySLO gate and closes the loop
 	// (DESIGN.md §14): each shard runs a drift detector over its observed

@@ -154,7 +154,7 @@ func AllocPolicyByName(name string) (AllocPolicy, error) {
 // folded in: both the predicted and measured degradations shrink by the
 // level's shielding factor, so each (generation, level) pair gets its own
 // admission/violation surface and the event loop stays pure array lookups.
-func buildSLOGateScaled(t *PredTable, p *SLOSimParams, scale float64) (*sloGate, error) {
+func buildSLOGateScaled(t *PredTable, p *SLOSimParams, scale float64) *sloGate {
 	if scale == 1 {
 		return buildSLOGate(t, p)
 	}
@@ -216,49 +216,6 @@ func (s *shardSim) enforceIsolation(m *simMachine, cell int) (unresolved bool) {
 	return false
 }
 
-// migrateNewest moves the just-placed instance off machine local when no
-// isolation level could absorb its violation — migration as the last rung
-// of the enforcement ladder. The source machine is taken out of the bucket
-// scan during re-admission so the instance cannot land straight back.
-func (s *shardSim) migrateNewest(local int32, b int, at float64) {
-	vm := &s.machines[local]
-	state := s.stateOf(vm)
-	s.buckets[state].Remove(int64(local))
-	target := s.admit(b)
-	if target < 0 {
-		s.buckets[state].Push(0, 0, int64(local))
-		s.res.migrationsFailed++
-		return
-	}
-	oldTax := s.taxOf(vm)
-	h := vm.jobs[len(vm.jobs)-1]
-	vm.jobs = vm.jobs[:len(vm.jobs)-1]
-	vm.n--
-	if vm.n == 0 {
-		vm.batch = -1
-		vm.level = 0
-	}
-	s.buckets[s.stateOf(vm)].Push(0, 0, int64(local))
-	s.taxNow += s.taxOf(vm) - oldTax
-
-	tm := &s.machines[target]
-	s.buckets[s.stateOf(tm)].Remove(int64(target))
-	oldTax = s.taxOf(tm)
-	tm.batch = int16(b)
-	tm.n++
-	s.buckets[s.stateOf(tm)].Push(0, 0, int64(target))
-	s.taxNow += s.taxOf(tm) - oldTax
-	tm.jobs = append(tm.jobs, h)
-	s.owner[h] = target
-
-	s.res.migrations++
-	s.res.log = append(s.res.log, Placement{
-		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
-		Machine: s.globalID(target), Lat: tm.lat, Batch: int16(b), N: tm.n,
-		Kind: PlacementMigrate, From: s.globalID(local),
-	})
-}
-
 // simWorld is the read-only per-run state RunSim precomputes once and
 // shares across shards: per-generation tables and geometry, the
 // per-(generation, level) admission gates, the isolation ladder, the
@@ -311,11 +268,7 @@ func buildSimWorld(cfg *SimConfig) (*simWorld, error) {
 				if len(w.levels) > 0 {
 					scale = w.levels[li].DegScale
 				}
-				g, err := buildSLOGateScaled(t, cfg.SLO, scale)
-				if err != nil {
-					return nil, err
-				}
-				w.gates[gi][li] = g
+				w.gates[gi][li] = buildSLOGateScaled(t, cfg.SLO, scale)
 			}
 		}
 	}

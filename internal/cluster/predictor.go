@@ -18,15 +18,11 @@ const (
 	// TierSurrogate: answered in microseconds from fitted surrogate
 	// curves; the prediction carries the propagated error bound.
 	TierSurrogate = "surrogate"
-	// TierLegacy: answered through a deprecated pre-unification adapter
-	// (AdaptPredictor) whose implementation predates the tier field.
-	TierLegacy = "legacy"
 )
 
-// Prediction is the unified answer of the Predictor seam: the predicted
-// degradation plus everything the old Predictor/BoundedPredictor split
-// forced callers to type-assert for — the error bound (zero on measured
-// answers), the serving tier, and the generation of the predictor state
+// Prediction is the answer of the Predictor seam: the predicted
+// degradation plus the error bound (zero on measured answers), the
+// serving tier, and the generation of the predictor state
 // that produced it (non-zero only for hot-swappable predictors, so a
 // closed-loop controller can tell stale answers from refreshed ones).
 type Prediction struct {
@@ -56,63 +52,6 @@ type Predictor interface {
 	Predict(lat, batch string, n int) (Prediction, error)
 }
 
-// DegradationPredictor is the pre-unification prediction seam.
-//
-// Deprecated: implement Predictor; wrap existing implementations with
-// AdaptPredictor during migration. See MIGRATION.md.
-type DegradationPredictor interface {
-	// PredictDegradation returns the latency application's predicted
-	// degradation when co-located with n instances of the batch app.
-	PredictDegradation(lat, batch string, n int) (float64, error)
-}
-
-// BoundedPredictor is the pre-unification extension carrying the error
-// bound next to the degradation.
-//
-// Deprecated: implement Predictor, whose Prediction carries the bound as
-// a first-class field. See MIGRATION.md.
-type BoundedPredictor interface {
-	DegradationPredictor
-	PredictWithBound(lat, batch string, n int) (deg, bound float64, err error)
-}
-
-// AdaptPredictor lifts a deprecated DegradationPredictor (optionally a
-// BoundedPredictor) onto the unified Predictor seam. Implementations that
-// already satisfy Predictor are returned unchanged; nil maps to nil.
-//
-// Deprecated: migrate the implementation to Predictor; this adapter is
-// the one-release bridge and carries the only sanctioned BoundedPredictor
-// type assertion.
-func AdaptPredictor(p DegradationPredictor) Predictor {
-	if p == nil {
-		return nil
-	}
-	if up, ok := p.(Predictor); ok {
-		return up
-	}
-	return legacyPredictor{p}
-}
-
-// legacyPredictor bridges the deprecated seam onto Predict.
-type legacyPredictor struct {
-	p DegradationPredictor
-}
-
-func (l legacyPredictor) Predict(lat, batch string, n int) (Prediction, error) {
-	if b, ok := l.p.(BoundedPredictor); ok {
-		deg, bound, err := b.PredictWithBound(lat, batch, n)
-		if err != nil {
-			return Prediction{}, err
-		}
-		return Prediction{Deg: deg, Bound: bound, Tier: TierLegacy}, nil
-	}
-	deg, err := l.p.PredictDegradation(lat, batch, n)
-	if err != nil {
-		return Prediction{}, err
-	}
-	return Prediction{Deg: deg, Tier: TierLegacy}, nil
-}
-
 // TablePredictor serves the Predictor seam from a degradation Table's
 // baked-in Predicted entries — the engine-measured prediction surface the
 // scale-out studies use. It is the ground-truth fallback of the tiered
@@ -129,22 +68,6 @@ func (p *TablePredictor) Predict(lat, batch string, n int) (Prediction, error) {
 		return Prediction{}, err
 	}
 	return Prediction{Deg: e.Predicted, Tier: TierTable}, nil
-}
-
-// PredictDegradation implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (p *TablePredictor) PredictDegradation(lat, batch string, n int) (float64, error) {
-	pred, err := p.Predict(lat, batch, n)
-	return pred.Deg, err
-}
-
-// PredictWithBound implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (p *TablePredictor) PredictWithBound(lat, batch string, n int) (float64, float64, error) {
-	pred, err := p.Predict(lat, batch, n)
-	return pred.Deg, pred.Bound, err
 }
 
 // SurrogatePredictor adapts a fitted surrogate.Set with an embedded
@@ -204,22 +127,6 @@ func (p *SurrogatePredictor) Predict(lat, batch string, n int) (Prediction, erro
 		return Prediction{}, err
 	}
 	return Prediction{Deg: pred.Degradation, Bound: pred.Bound, Tier: TierSurrogate}, nil
-}
-
-// PredictDegradation implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (p *SurrogatePredictor) PredictDegradation(lat, batch string, n int) (float64, error) {
-	pred, err := p.Predict(lat, batch, n)
-	return pred.Deg, err
-}
-
-// PredictWithBound implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (p *SurrogatePredictor) PredictWithBound(lat, batch string, n int) (float64, float64, error) {
-	pred, err := p.Predict(lat, batch, n)
-	return pred.Deg, pred.Bound, err
 }
 
 // tierState is the hot-swappable half of a TieredPredictor: the surrogate
@@ -367,22 +274,6 @@ func (t *TieredPredictor) Predict(lat, batch string, n int) (Prediction, error) 
 	}
 	pred.Gen = gen
 	return pred, nil
-}
-
-// PredictDegradation implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (t *TieredPredictor) PredictDegradation(lat, batch string, n int) (float64, error) {
-	pred, err := t.Predict(lat, batch, n)
-	return pred.Deg, err
-}
-
-// PredictWithBound implements the deprecated seam.
-//
-// Deprecated: use Predict.
-func (t *TieredPredictor) PredictWithBound(lat, batch string, n int) (float64, float64, error) {
-	pred, err := t.Predict(lat, batch, n)
-	return pred.Deg, pred.Bound, err
 }
 
 func abs(v float64) float64 {

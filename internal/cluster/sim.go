@@ -659,7 +659,8 @@ func (s *shardSim) place(local int32, b int, at, duration float64) {
 		s.observeClosedLoop(int(m.lat), b, cell, at)
 	}
 	if unresolved {
-		s.migrateNewest(local, b, at)
+		// Migration is the last rung of the enforcement ladder.
+		s.migrate(local, s.stateOf(m), b, at)
 	}
 }
 
@@ -687,6 +688,50 @@ func (s *shardSim) depart(h int64) {
 	s.taxNow += s.taxOf(m) - oldTax
 	s.busyNow--
 	s.res.departed++
+}
+
+// migrate moves the newest instance of batch b off machine victim (in
+// bucket state) to the machine the admission policy picks — the one
+// migration move of the closed loop and the isolation ladder. The victim
+// sits out the re-admission scan so the instance cannot land straight
+// back; the departure event rides along. Tax updates are exact no-ops
+// when the isolation ladder is off.
+func (s *shardSim) migrate(victim int32, state, b int, at float64) {
+	vm := &s.machines[victim]
+	s.buckets[state].Remove(int64(victim))
+	target := s.admit(b)
+	if target < 0 {
+		s.buckets[state].Push(0, 0, int64(victim))
+		s.res.migrationsFailed++
+		return
+	}
+	oldTax := s.taxOf(vm)
+	h := vm.jobs[len(vm.jobs)-1]
+	vm.jobs = vm.jobs[:len(vm.jobs)-1]
+	vm.n--
+	if vm.n == 0 {
+		vm.batch = -1
+		vm.level = 0
+	}
+	s.buckets[s.stateOf(vm)].Push(0, 0, int64(victim))
+	s.taxNow += s.taxOf(vm) - oldTax
+
+	tm := &s.machines[target]
+	s.buckets[s.stateOf(tm)].Remove(int64(target))
+	oldTax = s.taxOf(tm)
+	tm.batch = int16(b)
+	tm.n++
+	s.buckets[s.stateOf(tm)].Push(0, 0, int64(target))
+	s.taxNow += s.taxOf(tm) - oldTax
+	tm.jobs = append(tm.jobs, h)
+	s.owner[h] = target
+
+	s.res.migrations++
+	s.res.log = append(s.res.log, Placement{
+		At: at, Shard: int32(s.shard), Seq: uint32(len(s.res.log)),
+		Machine: s.globalID(target), Lat: tm.lat, Batch: int16(b), N: tm.n,
+		Kind: PlacementMigrate, From: s.globalID(victim),
+	})
 }
 
 // admission returns the per-cell admissible/slack surfaces the scan reads

@@ -318,10 +318,7 @@ func TestSimSLOPolicy(t *testing.T) {
 	}
 
 	// The admission contract: no placement on an inadmissible cell.
-	gate, err := buildSLOGate(cfg.Table, cfg.SLO.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	gate := buildSLOGate(cfg.Table, cfg.SLO.withDefaults())
 	for _, p := range seq.Log {
 		if p.Machine < 0 {
 			continue

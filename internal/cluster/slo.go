@@ -2,23 +2,22 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/qosd"
+	"repro/internal/admit"
 	"repro/internal/queueing"
 )
 
-// This file wires qosd's predictive SLO admission gate (DESIGN.md §13)
-// into the discrete-event simulator as PolicySLO: instead of a QoS-floor
-// best-fit, placements are admitted against per-class tail-latency
-// budgets using the error-bound-inflated Eq. 6 estimate — exactly the
-// check POST /v1/admit runs, evaluated once per (lat, batch, n) cell so
-// the event loop stays pure array lookups.
+// This file wires the predictive SLO admission gate (internal/admit,
+// DESIGN.md §13) into the discrete-event simulator as PolicySLO: instead
+// of a QoS-floor best-fit, placements are admitted against per-class
+// tail-latency budgets using the error-bound-inflated Eq. 6 estimate —
+// exactly the check POST /v1/admit runs, evaluated once per
+// (lat, batch, n) cell so the event loop stays pure array lookups.
 
 // SLOSimClass maps one latency application population onto an SLO class:
-// the qosd budget/percentile pair plus the service's M/M/1 rates, which
-// the serving daemon receives per-request but the simulator must fix up
-// front.
+// the admit.Class budget/percentile pair plus the service's M/M/1 rates,
+// which the serving daemon receives per-request but the simulator must
+// fix up front.
 type SLOSimClass struct {
 	Name       string  `json:"name"`
 	Budget     float64 `json:"budget"` // seconds
@@ -27,6 +26,18 @@ type SLOSimClass struct {
 	// rates (requests/second).
 	Mu     float64 `json:"mu"`
 	Lambda float64 `json:"lambda"`
+}
+
+// class is the admission class the simulated population is gated by.
+func (c SLOSimClass) class() admit.Class {
+	return admit.Class{Name: c.Name, Budget: c.Budget, Percentile: c.Percentile}
+}
+
+// violates reports whether a measured degradation actually blows the
+// class budget: the true Eq. 6 tail against the full budget, with no
+// bound inflation and no headroom.
+func (c SLOSimClass) violates(deg float64) bool {
+	return !(queueing.DegradedPercentile(c.Percentile, c.Mu, c.Lambda, deg) <= c.Budget)
 }
 
 // SLOSimParams parameterises SLO-gated simulation. Latency app i is
@@ -38,7 +49,7 @@ type SLOSimParams struct {
 	// (violation accounting uses the full budget).
 	Headroom float64 `json:"headroom"`
 	// ScaleUpThreshold / ScaleDownThreshold parameterise the Summary's
-	// saturation signal; zero picks qosd's defaults.
+	// saturation signal; zero picks admit's defaults.
 	ScaleUpThreshold   float64 `json:"scale_up_threshold,omitempty"`
 	ScaleDownThreshold float64 `json:"scale_down_threshold,omitempty"`
 }
@@ -49,54 +60,32 @@ func (p *SLOSimParams) withDefaults() *SLOSimParams {
 	}
 	q := *p
 	if q.ScaleUpThreshold == 0 {
-		q.ScaleUpThreshold = qosd.DefaultScaleUpThreshold
+		q.ScaleUpThreshold = admit.DefaultScaleUpThreshold
 	}
 	if q.ScaleDownThreshold == 0 {
-		q.ScaleDownThreshold = qosd.DefaultScaleDownThreshold
+		q.ScaleDownThreshold = admit.DefaultScaleDownThreshold
 	}
 	return &q
 }
 
-// Validate rejects parameter sets the gate cannot evaluate.
+// Validate rejects parameter sets the gate cannot evaluate: the class
+// set fails admit.ValidateClasses, or a class's queue rates are not
+// positive.
 func (p *SLOSimParams) Validate() error {
 	if p == nil {
 		return fmt.Errorf("cluster: SLO policy needs SLO parameters")
 	}
-	if len(p.Classes) == 0 {
-		return fmt.Errorf("cluster: SLO parameters need at least one class")
-	}
-	seen := make(map[string]bool, len(p.Classes))
-	for _, cl := range p.Classes {
-		if cl.Name == "" {
-			return fmt.Errorf("cluster: SLO class with empty name")
-		}
-		if seen[cl.Name] {
-			return fmt.Errorf("cluster: duplicate SLO class %q", cl.Name)
-		}
-		seen[cl.Name] = true
-		if !(cl.Budget > 0) || math.IsInf(cl.Budget, 0) {
-			return fmt.Errorf("cluster: SLO class %q budget %g must be positive and finite", cl.Name, cl.Budget)
-		}
-		if cl.Percentile <= 0 || cl.Percentile >= 1 {
-			return fmt.Errorf("cluster: SLO class %q percentile %g outside (0,1)", cl.Name, cl.Percentile)
-		}
+	q := p.withDefaults()
+	classes := make([]admit.Class, len(q.Classes))
+	for i, cl := range q.Classes {
 		if cl.Mu <= 0 || cl.Lambda <= 0 {
 			return fmt.Errorf("cluster: SLO class %q queue rates must be positive (mu=%g, lambda=%g)",
 				cl.Name, cl.Mu, cl.Lambda)
 		}
+		classes[i] = cl.class()
 	}
-	if p.Headroom < 0 || p.Headroom >= 1 || math.IsNaN(p.Headroom) {
-		return fmt.Errorf("cluster: SLO headroom %g outside [0,1)", p.Headroom)
-	}
-	up, down := p.ScaleUpThreshold, p.ScaleDownThreshold
-	if up == 0 {
-		up = qosd.DefaultScaleUpThreshold
-	}
-	if down == 0 {
-		down = qosd.DefaultScaleDownThreshold
-	}
-	if up <= down {
-		return fmt.Errorf("cluster: scale-up threshold %g must exceed scale-down threshold %g", up, down)
+	if err := admit.ValidateClasses(classes, q.Headroom, q.ScaleUpThreshold, q.ScaleDownThreshold); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
@@ -119,11 +108,10 @@ type sloGate struct {
 	violate []bool
 }
 
-// buildSLOGate evaluates the admission check once per cell.
-func buildSLOGate(t *PredTable, p *SLOSimParams) (*sloGate, error) {
-	if !t.HasDegradations() {
-		return nil, fmt.Errorf("cluster: prediction table has no degradation surface (rebuild it with this version's BuildPredTable)")
-	}
+// buildSLOGate evaluates the admission check once per cell of a table
+// carrying the degradation surface (SimConfig.Validate rejects SLO runs
+// over tables without one).
+func buildSLOGate(t *PredTable, p *SLOSimParams) *sloGate {
 	cells := len(t.PredDeg)
 	g := &sloGate{
 		admit:   make([]bool, cells),
@@ -132,20 +120,16 @@ func buildSLOGate(t *PredTable, p *SLOSimParams) (*sloGate, error) {
 	}
 	for l := 0; l < len(t.LatencyApps); l++ {
 		cl := p.classFor(l)
-		class := qosd.SLOClass{Name: cl.Name, Budget: cl.Budget, Percentile: cl.Percentile}
+		class := cl.class()
 		for b := 0; b < len(t.BatchApps); b++ {
 			for n := 1; n <= t.MaxInstances; n++ {
 				i := t.Cell(l, b, n)
-				dec := qosd.EvaluateAdmission(t.PredDeg[i], t.PredBound[i], cl.Mu, cl.Lambda, class, p.Headroom)
+				dec := admit.Evaluate(t.PredDeg[i], t.PredBound[i], cl.Mu, cl.Lambda, class, p.Headroom)
 				g.admit[i] = dec.Admitted
 				g.slack[i] = dec.EffectiveBudget - dec.Tail
-				// Violations are measured against the full budget at the
-				// true degradation, with no bound inflation and no
-				// headroom: did the co-location actually blow the SLO?
-				actualTail := queueing.DegradedPercentile(cl.Percentile, cl.Mu, cl.Lambda, t.ActualDeg[i])
-				g.violate[i] = !(actualTail <= cl.Budget)
+				g.violate[i] = cl.violates(t.ActualDeg[i])
 			}
 		}
 	}
-	return g, nil
+	return g
 }

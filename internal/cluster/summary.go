@@ -1,6 +1,6 @@
 package cluster
 
-import "repro/internal/qosd"
+import "repro/internal/admit"
 
 // Summary is the stable machine-readable aggregate of a discrete-event
 // run, emitted by `clustersim -summary-json`. Its schema is versioned and
@@ -136,14 +136,15 @@ func (r SimResult) Summary() Summary {
 	s.Utilization.Peak = r.PeakUtilization
 	s.SLO.Violations = r.Violations
 	s.SLO.ViolationFrac = r.ViolationFrac
-	up, down := qosd.DefaultScaleUpThreshold, qosd.DefaultScaleDownThreshold
-	if r.SLOParams != nil {
-		up, down = r.SLOParams.ScaleUpThreshold, r.SLOParams.ScaleDownThreshold
+	slo := r.SLOParams
+	if slo == nil {
+		slo = (&SLOSimParams{}).withDefaults()
 	}
+	up, down := slo.ScaleUpThreshold, slo.ScaleDownThreshold
 	if r.Arrived > 0 {
 		s.Saturation.RejectionFrac = float64(r.Rejected) / float64(r.Arrived)
 	}
-	s.Saturation.Signal = qosd.SaturationSignal(s.Saturation.RejectionFrac, up, down)
+	s.Saturation.Signal = admit.SaturationSignal(s.Saturation.RejectionFrac, up, down)
 	s.Saturation.ScaleUpThreshold = up
 	s.Saturation.ScaleDownThreshold = down
 	if r.Policy == PolicyClosedLoop {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	clworkload "repro/internal/cluster/workload"
 )
@@ -130,6 +131,13 @@ func ReadTrace(r io.Reader) (SimConfig, [][]clworkload.Event, error) {
 		if ev.Shard < 0 || ev.Shard >= cfg.Shards {
 			return SimConfig{}, nil, fmt.Errorf("%w: event %d names shard %d of %d", ErrTraceCorrupt, n, ev.Shard, cfg.Shards)
 		}
+		var prev *clworkload.Event
+		if k := len(shards[ev.Shard]); k > 0 {
+			prev = &shards[ev.Shard][k-1]
+		}
+		if err := checkTraceEvent(ev.Event, prev, cfg.Workload); err != nil {
+			return SimConfig{}, nil, fmt.Errorf("%w: event %d: %v", ErrTraceCorrupt, n, err)
+		}
 		shards[ev.Shard] = append(shards[ev.Shard], ev.Event)
 		n++
 	}
@@ -140,4 +148,40 @@ func ReadTrace(r io.Reader) (SimConfig, [][]clworkload.Event, error) {
 		return SimConfig{}, nil, fmt.Errorf("%w: header promises %d events, file has %d", ErrTraceCorrupt, hdr.Events, n)
 	}
 	return cfg, shards, nil
+}
+
+// checkTraceEvent rejects an event the simulator cannot replay: an
+// unknown kind, an application index or rank out of range, a negative or
+// non-finite time or duration, or an event out of its shard's order —
+// Generate emits each shard time-ordered with strictly increasing Seq.
+// prev is the shard's previous event, nil for its first.
+func checkTraceEvent(ev clworkload.Event, prev *clworkload.Event, w clworkload.Config) error {
+	switch {
+	case !(ev.At >= 0) || math.IsInf(ev.At, 1):
+		return fmt.Errorf("time %g is not a non-negative finite number", ev.At)
+	case prev != nil && ev.At < prev.At:
+		return fmt.Errorf("time %g precedes the shard's previous event at %g", ev.At, prev.At)
+	case prev != nil && ev.Seq <= prev.Seq:
+		return fmt.Errorf("seq %d does not follow the shard's previous seq %d", ev.Seq, prev.Seq)
+	}
+	switch ev.Kind {
+	case clworkload.KindMachineUp:
+		if ev.Lat < 0 || ev.Lat >= w.Lats {
+			return fmt.Errorf("machine-up latency app %d outside [0,%d)", ev.Lat, w.Lats)
+		}
+	case clworkload.KindMachineDown:
+		if !(ev.Rank >= 0 && ev.Rank < 1) {
+			return fmt.Errorf("machine-down rank %g outside [0,1)", ev.Rank)
+		}
+	case clworkload.KindJobArrive:
+		if ev.Batch < 0 || ev.Batch >= w.Batches {
+			return fmt.Errorf("job batch app %d outside [0,%d)", ev.Batch, w.Batches)
+		}
+		if !(ev.Duration >= 0) || math.IsInf(ev.Duration, 1) {
+			return fmt.Errorf("job duration %g is not a non-negative finite number", ev.Duration)
+		}
+	default:
+		return fmt.Errorf("unknown kind %d", ev.Kind)
+	}
+	return nil
 }

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
+
+	clworkload "repro/internal/cluster/workload"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -66,6 +69,30 @@ func TestTraceCorruptRejected(t *testing.T) {
 	}
 	good := rec.String()
 	lines := strings.SplitAfter(good, "\n")
+	// decode reads event line i and edit re-encodes it with mut applied.
+	// Lines 1 and 2 both belong to shard 0, so the order checks have a
+	// real predecessor.
+	decode := func(i int) traceEvent {
+		var ev traceEvent
+		if err := json.Unmarshal([]byte(lines[i]), &ev); err != nil {
+			t.Fatal(err)
+		}
+		return ev
+	}
+	edit := func(i int, mut func(*clworkload.Event)) string {
+		ev := decode(i)
+		mut(&ev.Event)
+		b, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append([]string(nil), lines...)
+		out[i] = string(b) + "\n"
+		return strings.Join(out, "")
+	}
+	first := decode(1).Event
+	nLat, nBatch := cfg.Workload.Lats, cfg.Workload.Batches
+	const up, down, job = clworkload.KindMachineUp, clworkload.KindMachineDown, clworkload.KindJobArrive
 
 	cases := map[string]string{
 		"empty":        "",
@@ -74,6 +101,20 @@ func TestTraceCorruptRejected(t *testing.T) {
 		"event junk":   lines[0] + "{\n",
 		"bad shard":    lines[0] + strings.Replace(lines[1], `"s":0`, `"s":999`, 1),
 		"truncated":    strings.Join(lines[:len(lines)/2], ""),
+		// Unchecked, these panic the replay or replay silently out of order.
+		"batch far out of range": edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Batch = job, 99999 }),
+		"batch one past the end": edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Batch = job, nBatch }),
+		"negative batch":         edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Batch = job, -1 }),
+		"negative duration":      edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Duration = job, -1 }),
+		"lat one past the end":   edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Lat = up, nLat }),
+		"negative lat":           edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Lat = up, -3 }),
+		"rank at one":            edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Rank = down, 1 }),
+		"negative rank":          edit(1, func(ev *clworkload.Event) { ev.Kind, ev.Rank = down, -0.5 }),
+		"unknown kind":           edit(1, func(ev *clworkload.Event) { ev.Kind = 9 }),
+		"zero kind":              edit(1, func(ev *clworkload.Event) { ev.Kind = 0 }),
+		"negative time":          edit(1, func(ev *clworkload.Event) { ev.At = -1 }),
+		"time goes backwards":    edit(2, func(ev *clworkload.Event) { ev.At = first.At / 2 }),
+		"seq repeats":            edit(2, func(ev *clworkload.Event) { ev.Seq = first.Seq }),
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {

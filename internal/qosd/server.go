@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/admit"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
 	"repro/internal/queueing"
@@ -201,10 +202,10 @@ func (s *Server) registerGauges() {
 			"Saturation signal: 1 scale-up, 0 steady, -1 scale-down.",
 			func() float64 {
 				rate, _ := s.slo.rejectionRate()
-				switch SaturationSignal(rate, s.cfg.SLO.ScaleUpThreshold, s.cfg.SLO.ScaleDownThreshold) {
-				case SignalScaleUp:
+				switch admit.SaturationSignal(rate, s.cfg.SLO.ScaleUpThreshold, s.cfg.SLO.ScaleDownThreshold) {
+				case admit.SignalScaleUp:
 					return 1
-				case SignalScaleDown:
+				case admit.SignalScaleDown:
 					return -1
 				}
 				return 0
@@ -623,7 +624,7 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, apiErr)
 		return
 	}
-	dec := EvaluateAdmission(pred.deg, pred.bound, req.Queue.Mu, req.Queue.Lambda, class, s.cfg.SLO.Headroom)
+	dec := admit.Evaluate(pred.deg, pred.bound, req.Queue.Mu, req.Queue.Lambda, class, s.cfg.SLO.Headroom)
 	s.slo.record(class.Name, dec.Admitted)
 	if s.metrics.admits != nil {
 		outcome := "admitted"

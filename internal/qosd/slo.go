@@ -2,41 +2,22 @@ package qosd
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
-	"time"
 
+	"repro/internal/admit"
 	"repro/internal/isol"
-	"repro/internal/queueing"
 )
 
-// This file is the predictive SLO admission gate (DESIGN.md §13): SLO
-// classes with per-class tail-latency budgets, the pure Eq. 6 budget
-// check EvaluateAdmission runs for POST /v1/admit, and the saturation
-// analyzer that turns the recent admit/reject stream into a
-// capacity-vs-demand scaling signal.
-
-// SLOClass is one quality-of-service class an admission request names:
-// a tail-latency budget at a percentile. The canonical trio is
-// critical / standard / sheddable (DefaultSLOClasses), but any set of
-// uniquely-named classes works.
-type SLOClass struct {
-	// Name identifies the class in requests and metrics.
-	Name string `json:"name"`
-	// Budget is the tail-latency budget in seconds: the largest Eq. 6
-	// percentile latency the class tolerates.
-	Budget float64 `json:"budget"`
-	// Percentile is the SLO percentile in (0,1) the budget applies to
-	// (0.95 means "95th-percentile latency within Budget").
-	Percentile float64 `json:"percentile"`
-}
+// This file is the daemon half of the predictive SLO admission gate
+// (DESIGN.md §13): the SLO configuration POST /v1/admit serves, the
+// wire names of the pure admission math in internal/admit, the isolation
+// remedy search, and the saturation analyzer that turns the recent
+// admit/reject stream into a capacity-vs-demand scaling signal.
 
 // SLOConfig parameterises the admission gate.
 type SLOConfig struct {
 	// Classes are the admissible SLO classes; requests name one.
-	Classes []SLOClass `json:"classes"`
+	Classes []admit.Class `json:"classes"`
 	// Headroom reserves a fraction of every class budget in [0, 1): the
 	// gate admits against Budget·(1−Headroom), so predictions that land
 	// within Headroom of the budget are rejected as too close to call.
@@ -53,17 +34,13 @@ type SLOConfig struct {
 	Window int `json:"window,omitempty"`
 }
 
-// Saturation-analyzer defaults.
-const (
-	DefaultScaleUpThreshold   = 0.2
-	DefaultScaleDownThreshold = 0.05
-	DefaultSaturationWindow   = 256
-)
+// DefaultSaturationWindow is the analyzer's window when Window is zero.
+const DefaultSaturationWindow = 256
 
 // DefaultSLOClasses returns the canonical three-class set: critical
 // (20 ms p95), standard (60 ms p95), sheddable (150 ms p90).
-func DefaultSLOClasses() []SLOClass {
-	return []SLOClass{
+func DefaultSLOClasses() []admit.Class {
+	return []admit.Class{
 		{Name: "critical", Budget: 0.020, Percentile: 0.95},
 		{Name: "standard", Budget: 0.060, Percentile: 0.95},
 		{Name: "sheddable", Budget: 0.150, Percentile: 0.90},
@@ -75,10 +52,10 @@ func (c SLOConfig) withDefaults() SLOConfig {
 		c.Classes = DefaultSLOClasses()
 	}
 	if c.ScaleUpThreshold == 0 {
-		c.ScaleUpThreshold = DefaultScaleUpThreshold
+		c.ScaleUpThreshold = admit.DefaultScaleUpThreshold
 	}
 	if c.ScaleDownThreshold == 0 {
-		c.ScaleDownThreshold = DefaultScaleDownThreshold
+		c.ScaleDownThreshold = admit.DefaultScaleDownThreshold
 	}
 	if c.Window <= 0 {
 		c.Window = DefaultSaturationWindow
@@ -91,161 +68,37 @@ func (c SLOConfig) withDefaults() SLOConfig {
 // config.
 func (c SLOConfig) Validate() error {
 	c = c.withDefaults()
-	seen := make(map[string]bool, len(c.Classes))
-	for _, cl := range c.Classes {
-		if cl.Name == "" {
-			return fmt.Errorf("qosd: SLO class with empty name")
-		}
-		if seen[cl.Name] {
-			return fmt.Errorf("qosd: duplicate SLO class %q", cl.Name)
-		}
-		seen[cl.Name] = true
-		if !(cl.Budget > 0) || math.IsInf(cl.Budget, 0) {
-			return fmt.Errorf("qosd: SLO class %q budget %g must be positive and finite", cl.Name, cl.Budget)
-		}
-		if cl.Percentile <= 0 || cl.Percentile >= 1 {
-			return fmt.Errorf("qosd: SLO class %q percentile %g outside (0,1)", cl.Name, cl.Percentile)
-		}
-	}
-	if c.Headroom < 0 || c.Headroom >= 1 || math.IsNaN(c.Headroom) {
-		return fmt.Errorf("qosd: SLO headroom %g outside [0,1)", c.Headroom)
-	}
-	if c.ScaleUpThreshold <= c.ScaleDownThreshold {
-		return fmt.Errorf("qosd: scale-up threshold %g must exceed scale-down threshold %g",
-			c.ScaleUpThreshold, c.ScaleDownThreshold)
+	if err := admit.ValidateClasses(c.Classes, c.Headroom, c.ScaleUpThreshold, c.ScaleDownThreshold); err != nil {
+		return fmt.Errorf("qosd: %w", err)
 	}
 	return nil
 }
 
 // Class resolves a class by name.
-func (c SLOConfig) Class(name string) (SLOClass, bool) {
+func (c SLOConfig) Class(name string) (admit.Class, bool) {
 	for _, cl := range c.Classes {
 		if cl.Name == name {
 			return cl, true
 		}
 	}
-	return SLOClass{}, false
+	return admit.Class{}, false
 }
 
-// ParseSLOClasses parses a comma-separated class spec of the form
-// "name:budget[:percentile]" — budget as a Go duration ("20ms"),
-// percentile defaulting to 0.95 — e.g.
-// "critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90".
-// Both cmd/smited (-slo-config) and cmd/clustersim (-slo-classes) parse
-// their flags through this one function so the two CLIs reject exactly
-// the same malformed specs.
-func ParseSLOClasses(spec string) ([]SLOClass, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, fmt.Errorf("empty SLO class spec")
-	}
-	var classes []SLOClass
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("empty class entry in %q", spec)
-		}
-		fields := strings.Split(part, ":")
-		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("class %q is not name:budget[:percentile]", part)
-		}
-		name := strings.TrimSpace(fields[0])
-		if name == "" {
-			return nil, fmt.Errorf("class %q has an empty name", part)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("duplicate class %q", name)
-		}
-		seen[name] = true
-		budget, err := time.ParseDuration(strings.TrimSpace(fields[1]))
-		if err != nil {
-			return nil, fmt.Errorf("class %q: budget: %v", name, err)
-		}
-		if budget <= 0 {
-			return nil, fmt.Errorf("class %q: budget %v must be positive", name, budget)
-		}
-		p := 0.95
-		if len(fields) == 3 {
-			p, err = strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("class %q: percentile: %v", name, err)
-			}
-			if p <= 0 || p >= 1 {
-				return nil, fmt.Errorf("class %q: percentile %g outside (0,1)", name, p)
-			}
-		}
-		classes = append(classes, SLOClass{Name: name, Budget: budget.Seconds(), Percentile: p})
-	}
-	return classes, nil
-}
-
-// Admission reasons, reported in AdmitResponse.Reason.
+// Admission reasons, reported in AdmitResponse.Reason: the /v1/admit
+// wire values of admit's reasons.
 const (
-	// AdmitReasonOK: the inflated tail estimate fits the effective budget.
-	AdmitReasonOK = "ok"
-	// AdmitReasonBudgetExceeded: the queue stays stable but the inflated
-	// Eq. 6 tail estimate exceeds Budget·(1−Headroom).
-	AdmitReasonBudgetExceeded = "budget_exceeded"
-	// AdmitReasonSaturated: the inflated degradation pushes the queue at
-	// or past saturation (μ' ≤ λ) — tail latency is unbounded, so the
-	// co-location is rejected for every finite budget.
-	AdmitReasonSaturated = "saturated"
+	AdmitReasonOK             = admit.ReasonOK
+	AdmitReasonBudgetExceeded = admit.ReasonBudgetExceeded
+	AdmitReasonSaturated      = admit.ReasonSaturated
 )
 
 // AdmitDecision is the outcome of one EvaluateAdmission call.
-type AdmitDecision struct {
-	// Admitted reports whether the co-location fits the class budget.
-	Admitted bool
-	// Reason is one of the AdmitReason* constants.
-	Reason string
-	// EffectiveDegradation is the budget-checked degradation: the
-	// prediction inflated by its error bound (bound is 0 on engine-tier
-	// answers, so inflation only applies to surrogate answers).
-	EffectiveDegradation float64
-	// Tail is the Eq. 6 percentile latency at the inflated degradation,
-	// in seconds; +Inf when Saturated.
-	Tail float64
-	// EffectiveBudget is Budget·(1−Headroom), the value Tail was checked
-	// against.
-	EffectiveBudget float64
-	// Saturated reports an unbounded tail (μ' ≤ λ at the inflated
-	// degradation, or a non-finite degradation).
-	Saturated bool
-}
+type AdmitDecision = admit.Decision
 
-// EvaluateAdmission is the pure admission check behind POST /v1/admit:
-// inflate the predicted degradation by its error bound, run it through
-// Equation 6 at the class percentile, and admit only if the resulting
-// tail estimate fits the class budget minus the configured headroom.
-// Saturated queues — including deg = 1 exactly and non-finite
-// degradations from corrupt profiles — are always rejected.
-//
-// The check is deliberately conservative on both axes: the error bound
-// is added (the surrogate may have under-predicted) and the budget is
-// shrunk by the headroom (the model may be wrong in ways the bound does
-// not capture). internal/simtest pins the resulting monotonicity laws:
-// a tighter budget or a larger headroom never admits what the looser
-// setting rejected.
-func EvaluateAdmission(deg, bound, mu, lambda float64, class SLOClass, headroom float64) AdmitDecision {
-	if headroom < 0 || math.IsNaN(headroom) {
-		headroom = 0
-	}
-	d := AdmitDecision{
-		EffectiveDegradation: deg + bound,
-		EffectiveBudget:      class.Budget * (1 - headroom),
-	}
-	d.Tail = queueing.DegradedPercentile(class.Percentile, mu, lambda, d.EffectiveDegradation)
-	switch {
-	case math.IsInf(d.Tail, 1):
-		d.Saturated = true
-		d.Reason = AdmitReasonSaturated
-	case d.Tail <= d.EffectiveBudget:
-		d.Admitted = true
-		d.Reason = AdmitReasonOK
-	default:
-		d.Reason = AdmitReasonBudgetExceeded
-	}
-	return d
+// EvaluateAdmission is the admission check behind POST /v1/admit; see
+// admit.Evaluate.
+func EvaluateAdmission(deg, bound, mu, lambda float64, class admit.Class, headroom float64) AdmitDecision {
+	return admit.Evaluate(deg, bound, mu, lambda, class, headroom)
 }
 
 // SuggestIsolation is the remedy search behind a rejected admission:
@@ -260,13 +113,13 @@ func EvaluateAdmission(deg, bound, mu, lambda float64, class SLOClass, headroom 
 // Because ValidateSettings pins DegScale as non-increasing across the
 // ladder, the first admitting level is also the cheapest in throughput
 // tax — the suggestion is always the minimal actuation.
-func SuggestIsolation(deg, bound, mu, lambda float64, class SLOClass, headroom float64, levels []isol.Setting) *IsolationRemedy {
+func SuggestIsolation(deg, bound, mu, lambda float64, class admit.Class, headroom float64, levels []isol.Setting) *IsolationRemedy {
 	if levels == nil {
 		levels = isol.DefaultSettings()
 	}
 	for l := 1; l < len(levels); l++ {
 		scale := levels[l].DegScale
-		d := EvaluateAdmission(deg*scale, bound*scale, mu, lambda, class, headroom)
+		d := admit.Evaluate(deg*scale, bound*scale, mu, lambda, class, headroom)
 		if d.Admitted {
 			return &IsolationRemedy{
 				Level:                l,
@@ -277,32 +130,6 @@ func SuggestIsolation(deg, bound, mu, lambda float64, class SLOClass, headroom f
 		}
 	}
 	return nil
-}
-
-// Saturation signals, reported by the analyzer.
-const (
-	// SignalScaleUp: rejection rate at or above the scale-up threshold —
-	// demand exceeds the fleet's admissible capacity.
-	SignalScaleUp = "scale_up"
-	// SignalSteady: rejection rate between the thresholds.
-	SignalSteady = "steady"
-	// SignalScaleDown: rejection rate at or below the scale-down
-	// threshold — capacity is slack.
-	SignalScaleDown = "scale_down"
-)
-
-// SaturationSignal maps a rejection rate onto a scaling signal given the
-// two thresholds. Shared by the daemon's live analyzer and the cluster
-// simulator's Summary so both report the same semantics.
-func SaturationSignal(rejectionRate, scaleUp, scaleDown float64) string {
-	switch {
-	case rejectionRate >= scaleUp:
-		return SignalScaleUp
-	case rejectionRate <= scaleDown:
-		return SignalScaleDown
-	default:
-		return SignalSteady
-	}
 }
 
 // sloClassCounters accumulates one class's lifetime decisions.
@@ -383,7 +210,7 @@ func (a *sloAnalyzer) report() *SLOMetricsReport {
 		Saturation: SaturationReport{
 			Window:             window,
 			RejectionRate:      rate,
-			Signal:             SaturationSignal(rate, a.cfg.ScaleUpThreshold, a.cfg.ScaleDownThreshold),
+			Signal:             admit.SaturationSignal(rate, a.cfg.ScaleUpThreshold, a.cfg.ScaleDownThreshold),
 			ScaleUpThreshold:   a.cfg.ScaleUpThreshold,
 			ScaleDownThreshold: a.cfg.ScaleDownThreshold,
 		},

@@ -105,10 +105,10 @@ func syntheticSet() *Set {
 	}
 }
 
-// TestPredictWithBound checks the hand-computable propagation: with every
+// TestPredictBoundPropagation checks the hand-computable propagation: with every
 // dimension identical, prediction and bound are NumDimensions times the
 // per-dimension terms.
-func TestPredictWithBound(t *testing.T) {
+func TestPredictBoundPropagation(t *testing.T) {
 	s := syntheticSet()
 	var m model.Smite
 	for d := range m.Coef {
