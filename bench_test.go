@@ -163,7 +163,7 @@ func BenchmarkFig2FunctionalUnitSenCon(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig2FunctionalUnits()
+		r, err := lab.Fig2FunctionalUnitsContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func BenchmarkFig3PortUtilizationCDF(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig3And5PortUtilization()
+		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func BenchmarkFig4MemorySenCon(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		if _, err := lab.Fig4MemorySubsystem(); err != nil {
+		if _, err := lab.Fig4MemorySubsystemContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func BenchmarkFig5MemPortUtilizationCDF(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig3And5PortUtilization()
+		r, err := lab.Fig3And5PortUtilizationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func BenchmarkFig6SenConSummary(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		if _, err := lab.Fig6Summary(); err != nil {
+		if _, err := lab.Fig6SummaryContext(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func BenchmarkFig7CorrelationMatrix(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig7Correlation()
+		r, err := lab.Fig7CorrelationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func BenchmarkFig9RulerValidation(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig9RulerValidation()
+		r, err := lab.Fig9RulerValidationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +269,7 @@ func BenchmarkFig10SpecSMTPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig10SpecSMT()
+		r, err := lab.Fig10SpecSMTContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func BenchmarkFig11SpecCMPPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig11SpecCMP()
+		r, err := lab.Fig11SpecCMPContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func BenchmarkFig12CloudSuitePrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig12CloudSuite()
+		r, err := lab.Fig12CloudSuiteContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func BenchmarkFig13TailLatencyPrediction(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig13TailLatency()
+		r, err := lab.Fig13TailLatencyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func BenchmarkFig14UtilizationAvgQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig14And15AvgQoS()
+		r, err := lab.Fig14And15AvgQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func BenchmarkFig15ViolationsAvgQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig14And15AvgQoS()
+		r, err := lab.Fig14And15AvgQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func BenchmarkFig16UtilizationTailQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig16And17TailQoS()
+		r, err := lab.Fig16And17TailQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func BenchmarkFig17ViolationsTailQoS(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig16And17TailQoS()
+		r, err := lab.Fig16And17TailQoSContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func BenchmarkFig18TCO(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.Fig18TCO()
+		r, err := lab.Fig18TCOContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func BenchmarkModelAblation(b *testing.B) {
 	skipMacroBench(b)
 	for i := 0; i < b.N; i++ {
 		lab := newLab()
-		r, err := lab.ModelAblation()
+		r, err := lab.ModelAblationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

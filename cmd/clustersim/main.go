@@ -1,47 +1,30 @@
-// Command clustersim runs the warehouse-scale scale-out study standalone:
-// it builds the CloudSuite co-location degradation table on the simulated
-// Sandy Bridge-EN fleet, then schedules batch work onto the latency
-// servers' idle SMT contexts under the SMiTe, Oracle and Random policies
-// and reports utilisation gains, QoS violations and the TCO impact.
-//
-// With -sim (or -replay) it instead runs the warehouse-scale
-// discrete-event simulator: temporal job arrivals, machine churn and
-// incremental contention-aware placement over a synthetic co-location
-// world, with record/replay traces that reproduce a run bit for bit.
+// Command clustersim runs the warehouse-scale discrete-event simulator:
+// temporal job arrivals, machine churn and incremental contention-aware
+// placement over a synthetic co-location world, with record/replay traces
+// that reproduce a run bit for bit. The paper's static scale-out study
+// (Figs. 14-18) runs through cmd/figures.
 //
 // Usage:
 //
-//	clustersim [-scale full|test] [-qos avg|tail] [-targets 0.95,0.90,0.85] [-servers 1000]
-//	clustersim -sim [-machines 1000] [-duration 1] [-churn 0.02] [-policy smite]
+//	clustersim [-machines 1000] [-duration 1] [-churn 0.02] [-policy smite]
 //	           [-trace-out run.trace] [-summary-json -]
 //	clustersim -replay run.trace [-parallelism 8]
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
-	"repro/internal/cluster"
-	"repro/internal/experiments"
-	"repro/internal/qosd"
-	"repro/internal/tco"
 	"repro/internal/version"
-	"repro/smite"
 )
 
 func main() {
-	// The degradation table is hours of simulation at -scale full; Ctrl-C
-	// cancels the in-flight cells instead of orphaning them.
+	// Ctrl-C cancels the in-flight shard fan-out instead of orphaning it.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -52,40 +35,34 @@ func main() {
 	}
 }
 
-// run parses args and executes the study, writing the report to w. Flag
+// run parses args and runs the simulator, writing the report to w. Flag
 // and validation errors return non-nil (the FlagSet prints usage).
 func run(ctx context.Context, args []string, w io.Writer) error {
+	var o simOptions
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
-	scaleFlag := fs.String("scale", "test", "experiment scale: full or test")
-	qosFlag := fs.String("qos", "avg", "QoS definition: avg (average performance) or tail (90th-percentile latency)")
-	targetsFlag := fs.String("targets", "0.95,0.90,0.85", "comma-separated QoS targets to detail (subset of 0.95,0.90,0.85)")
-	serversFlag := fs.Int("servers", 0, "servers per latency application (0 = scale default)")
-	serverFlag := fs.Bool("server", false, "route SMiTe predictions through an embedded smited daemon over HTTP instead of in-process")
 	versionFlag := fs.Bool("version", false, "print the build version and exit")
-
-	simFlag := fs.Bool("sim", false, "run the warehouse-scale discrete-event simulator instead of the static study")
-	machinesFlag := fs.Int("machines", 1000, "sim: initial fleet size")
-	durationFlag := fs.Float64("duration", 1, "sim: simulated horizon in time units")
-	churnFlag := fs.Float64("churn", 0.02, "sim: machine churn rate (fraction of fleet per time unit)")
-	arrivalFlag := fs.Float64("arrival", 0, "sim: job arrival rate per time unit (0 = 30 jobs per machine)")
-	policyFlag := fs.String("policy", "smite", "sim: placement policy (smite, oracle, random, slo, closedloop or isolation)")
-	targetFlag := fs.Float64("target", 0.92, "sim: QoS floor placements must respect, in (0,1]")
-	shardsFlag := fs.Int("shards", 0, "sim: scheduling cells to split the fleet into (0 = default)")
-	parFlag := fs.Int("parallelism", 0, "sim: worker goroutines for shard fan-out (0 = GOMAXPROCS); results are identical at any value")
-	seedFlag := fs.Uint64("seed", 1, "sim: workload and synthetic-world seed")
-	traceOutFlag := fs.String("trace-out", "", "sim: record the exogenous event trace to this file")
-	replayFlag := fs.String("replay", "", "replay a recorded trace (implies -sim; config comes from the trace header)")
-	summaryFlag := fs.String("summary-json", "", "sim: write the machine-readable run summary to this file (- for stdout)")
-	sloClassesFlag := fs.String("slo-classes", "critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90",
-		"sim: SLO classes for -policy=slo as name:budget[:percentile],... (budgets are Go durations)")
-	sloHeadroomFlag := fs.Float64("slo-headroom", 0.1, "sim: admission headroom in [0,1); budgets shrink to budget*(1-headroom) for admission")
-	sloMuFlag := fs.Float64("slo-mu", 1000, "sim: solo per-thread service rate (req/s) for the SLO classes' M/M/1 model")
-	sloLambdaFlag := fs.Float64("slo-lambda", 600, "sim: arrival rate (req/s) for the SLO classes' M/M/1 model")
-	driftAtFlag := fs.Float64("drift-at", 0, "sim: simulated time the measured degradation surface shifts (with -drift-factor)")
-	driftFactorFlag := fs.Float64("drift-factor", 0, "sim: factor the measured degradations scale by at -drift-at (0 = no drift)")
-	machineMixFlag := fs.String("machine-mix", "", "sim: heterogeneous fleet as gen=weight,... over named machine generations (snb, ivb, power7, smt4, biglittle); empty = homogeneous")
-	isolFlag := fs.String("isol", "", "sim: isolation ladder for -policy=isolation as name:degscale:tax,... above the implicit off level (empty = stock ladder)")
-	allocFlag := fs.String("alloc", "", "sim: thread-to-core allocation policy scoring candidate contexts (bestfit, firstfit, spread, minload or mindeg; empty = bestfit)")
+	fs.IntVar(&o.machines, "machines", 1000, "initial fleet size")
+	fs.Float64Var(&o.duration, "duration", 1, "simulated horizon in time units")
+	fs.Float64Var(&o.churn, "churn", 0.02, "machine churn rate (fraction of fleet per time unit)")
+	fs.Float64Var(&o.arrival, "arrival", 0, "job arrival rate per time unit (0 = 30 jobs per machine)")
+	fs.StringVar(&o.policy, "policy", "smite", "placement policy (smite, oracle, random, slo, closedloop or isolation)")
+	fs.Float64Var(&o.target, "target", 0.92, "QoS floor placements must respect, in (0,1]")
+	fs.IntVar(&o.shards, "shards", 0, "scheduling cells to split the fleet into (0 = default)")
+	fs.IntVar(&o.parallelism, "parallelism", 0, "worker goroutines for shard fan-out (0 = GOMAXPROCS); results are identical at any value")
+	fs.Uint64Var(&o.seed, "seed", 1, "workload and synthetic-world seed")
+	fs.StringVar(&o.traceOut, "trace-out", "", "record the exogenous event trace to this file")
+	fs.StringVar(&o.replay, "replay", "", "replay a recorded trace (config comes from the trace header)")
+	fs.StringVar(&o.summaryJSON, "summary-json", "", "write the machine-readable run summary to this file (- for stdout)")
+	fs.StringVar(&o.sloClasses, "slo-classes", "critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90",
+		"SLO classes for -policy=slo as name:budget[:percentile],... (budgets are Go durations)")
+	fs.Float64Var(&o.sloHeadroom, "slo-headroom", 0.1, "admission headroom in [0,1); budgets shrink to budget*(1-headroom) for admission")
+	fs.Float64Var(&o.sloMu, "slo-mu", 1000, "solo per-thread service rate (req/s) for the SLO classes' M/M/1 model")
+	fs.Float64Var(&o.sloLambda, "slo-lambda", 600, "arrival rate (req/s) for the SLO classes' M/M/1 model")
+	fs.Float64Var(&o.driftAt, "drift-at", 0, "simulated time the measured degradation surface shifts (with -drift-factor)")
+	fs.Float64Var(&o.driftFactor, "drift-factor", 0, "factor the measured degradations scale by at -drift-at (0 = no drift)")
+	fs.StringVar(&o.machineMix, "machine-mix", "", "heterogeneous fleet as gen=weight,... over named machine generations (snb, ivb, power7, smt4, biglittle); empty = homogeneous")
+	fs.StringVar(&o.isolSpec, "isol", "", "isolation ladder for -policy=isolation as name:degscale:tax,... above the implicit off level (empty = stock ladder)")
+	fs.StringVar(&o.alloc, "alloc", "", "thread-to-core allocation policy scoring candidate contexts (bestfit, firstfit, spread, minload or mindeg; empty = bestfit)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -93,197 +70,5 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		version.Fprint(w, "clustersim")
 		return nil
 	}
-
-	if *simFlag || *replayFlag != "" {
-		return runClusterSim(ctx, simOptions{
-			machines: *machinesFlag, duration: *durationFlag, churn: *churnFlag,
-			arrival: *arrivalFlag, policy: *policyFlag, target: *targetFlag,
-			shards: *shardsFlag, parallelism: *parFlag, seed: *seedFlag,
-			traceOut: *traceOutFlag, replay: *replayFlag, summaryJSON: *summaryFlag,
-			qos:        *qosFlag,
-			sloClasses: *sloClassesFlag, sloHeadroom: *sloHeadroomFlag,
-			sloMu: *sloMuFlag, sloLambda: *sloLambdaFlag,
-			driftAt: *driftAtFlag, driftFactor: *driftFactorFlag,
-			machineMix: *machineMixFlag, isolSpec: *isolFlag, alloc: *allocFlag,
-		}, w)
-	}
-
-	var scale experiments.Scale
-	switch *scaleFlag {
-	case "full":
-		scale = experiments.FullScale()
-	case "test":
-		scale = experiments.TestScale()
-	default:
-		fs.Usage()
-		return fmt.Errorf("unknown scale %q", *scaleFlag)
-	}
-	if *serversFlag > 0 {
-		scale.ServersPerApp = *serversFlag
-	}
-
-	var targets []float64
-	for _, t := range strings.Split(*targetsFlag, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-		if err != nil || v <= 0 || v > 1 {
-			fs.Usage()
-			return fmt.Errorf("bad target %q", t)
-		}
-		targets = append(targets, v)
-	}
-
-	if *qosFlag != "avg" && *qosFlag != "tail" {
-		fs.Usage()
-		return fmt.Errorf("unknown qos %q", *qosFlag)
-	}
-
-	kind := cluster.QoSAvg
-	if *qosFlag == "tail" {
-		kind = cluster.QoSTail
-	}
-
-	lab := experiments.NewLab(scale)
-	fmt.Fprintln(w, "building the co-location degradation table (this measures every latency×batch×instances cell)...")
-	var res experiments.ScaleOutResult
-	var err error
-	if *serverFlag {
-		res, err = scaleOutViaDaemon(ctx, lab, kind, w)
-	} else {
-		res, err = lab.ScaleOutStudyContext(ctx, kind, nil)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, res.String())
-
-	// Per-target policy detail.
-	for _, target := range res.Targets {
-		if !contains(targets, target) {
-			continue
-		}
-		fmt.Fprintf(w, "target %.0f%%:\n", target*100)
-		for _, pol := range []cluster.PolicyKind{cluster.PolicySMiTe, cluster.PolicyOracle, cluster.PolicyRandom} {
-			r := res.Cells[target][pol]
-			fmt.Fprintf(w, "  %-7s util %.1f%% -> %.1f%% (gain %.2f%%), mean instances %.2f, violations %.2f%% of co-located (worst %.2f%%)\n",
-				pol, r.BaselineUtilization*100, r.Utilization*100, r.UtilizationGain*100,
-				r.MeanInstances, r.ViolationFrac*100, r.ViolationMax*100)
-		}
-	}
-
-	params := tco.Google2014()
-	fmt.Fprintf(w, "\nTCO model: $%.0f/server, %.0fW at PUE %.2f, $%.2f/kWh, %g-year horizon => $%.0f/server/year\n",
-		params.ServerCapex, params.ServerPowerWatts, params.PUE, params.ElectricityPerKWh,
-		params.HorizonYears, params.PerServerPerYear())
-	return nil
-}
-
-func contains(xs []float64, v float64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// daemonPredictor satisfies cluster.Predictor from a map of degradations
-// prefetched through a qosd daemon's /v1/batch endpoint.
-type daemonPredictor struct {
-	degs map[string]float64
-}
-
-func dpKey(lat, batch string, n int) string { return fmt.Sprintf("%s|%s|%d", lat, batch, n) }
-
-func (d *daemonPredictor) Predict(lat, batch string, n int) (cluster.Prediction, error) {
-	deg, ok := d.degs[dpKey(lat, batch, n)]
-	if !ok {
-		return cluster.Prediction{}, fmt.Errorf("clustersim: daemon served no prediction for %s|%s|%d", lat, batch, n)
-	}
-	return cluster.Prediction{Deg: deg, Tier: "daemon"}, nil
-}
-
-// scaleOutViaDaemon reruns the scale-out study with the SMiTe policy's
-// predictions served by a live smited daemon instead of in-process calls:
-// an embedded qosd server comes up on an ephemeral port, the study's
-// profiles travel to it in the persisted-profile wire format, every
-// (latency, batch, instances) cell is scored through POST /v1/batch, and
-// the cluster study consumes those served numbers. Because the daemon
-// evaluates the same model over JSON-round-tripped (hence bit-exact)
-// float64 profiles, the decisions are bit-identical to the in-process
-// path.
-func scaleOutViaDaemon(ctx context.Context, lab *experiments.Lab, qos cluster.QoSKind, w io.Writer) (experiments.ScaleOutResult, error) {
-	sa, err := lab.ServingArtifactsContext(ctx)
-	if err != nil {
-		return experiments.ScaleOutResult{}, err
-	}
-
-	reg := qosd.NewRegistry()
-	srv := qosd.NewServer(reg, qosd.Config{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return experiments.ScaleOutResult{}, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	// The model reaches the registry through its persisted form, the same
-	// bytes `smited -model` would read from disk.
-	var buf bytes.Buffer
-	if err := smite.SaveModel(&buf, smite.NewModel(sa.Model.Coef, sa.Model.Intercept)); err != nil {
-		return experiments.ScaleOutResult{}, err
-	}
-	if err := reg.LoadModel(&buf); err != nil {
-		return experiments.ScaleOutResult{}, err
-	}
-
-	// Profiles go over the wire: the batch applications' contentiousness
-	// profiles under their own names, and each latency application's
-	// partial-occupancy sensitivity profiles under the lat#n convention.
-	c := qosd.NewClient("http://"+ln.Addr().String(), nil)
-	var chars []smite.Characterization
-	for _, b := range sa.BatchApps {
-		chars = append(chars, sa.Chars[b])
-	}
-	for _, lat := range sa.LatApps {
-		for n := 1; n <= sa.MaxInstances; n++ {
-			ch := sa.SenByCount[lat][n-1]
-			ch.App = qosd.PartialProfileName(lat, n)
-			chars = append(chars, ch)
-		}
-	}
-	if _, err := c.UploadProfiles(ctx, chars); err != nil {
-		return experiments.ScaleOutResult{}, err
-	}
-
-	// Prefetch the full decision surface, one batch request per
-	// (latency app, instance count).
-	dp := &daemonPredictor{degs: make(map[string]float64)}
-	for _, lat := range sa.LatApps {
-		for n := 1; n <= sa.MaxInstances; n++ {
-			cands := make([]qosd.BatchCandidate, len(sa.BatchApps))
-			for i, b := range sa.BatchApps {
-				cands[i] = qosd.BatchCandidate{Aggressor: b, Instances: n}
-			}
-			resp, err := c.Batch(ctx, qosd.BatchRequest{
-				Victim:     qosd.PartialProfileName(lat, n),
-				Threads:    sa.Threads,
-				Candidates: cands,
-			})
-			if err != nil {
-				return experiments.ScaleOutResult{}, err
-			}
-			for _, r := range resp.Results {
-				dp.degs[dpKey(lat, r.Aggressor, n)] = r.Degradation
-			}
-		}
-	}
-	fmt.Fprintf(w, "SMiTe predictions served by embedded smited at %s (%d profiles uploaded, %d cells fetched)\n",
-		ln.Addr(), len(chars), len(dp.degs))
-
-	res, err := lab.ScaleOutStudyContext(ctx, qos, dp)
-	if shutdownErr := hs.Shutdown(context.Background()); err == nil && shutdownErr != nil {
-		err = shutdownErr
-	}
-	return res, err
+	return runClusterSim(ctx, o, w)
 }

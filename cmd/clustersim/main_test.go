@@ -3,17 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
-	"io"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/cluster"
-	"repro/internal/experiments"
 )
 
-// Bad invocations must be rejected with an error (main turns any error into
-// a non-zero exit after the FlagSet prints usage).
+// Flags outside the simulator's set must be rejected as undefined (main
+// turns any error into exit 2 after the FlagSet prints usage). Among them
+// are the retired static study's -scale, -qos, -targets, -servers and
+// -server (the study runs through cmd/figures) and -sim, which no longer
+// selects anything.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -25,60 +23,18 @@ func TestFlagValidation(t *testing.T) {
 		{"malformed target", []string{"-targets", "0.95,banana"}},
 		{"target out of range", []string{"-targets", "1.5"}},
 		{"negative target", []string{"-targets", "-0.9"}},
+		{"servers", []string{"-servers", "20"}},
+		{"server", []string{"-server"}},
+		{"sim", []string{"-sim"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(context.Background(), tc.args, &out); err == nil {
-				t.Error("invalid invocation accepted")
+			err := run(context.Background(), tc.args, &out)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Errorf("run(%q) = %v, want an undefined-flag error", tc.args, err)
 			}
 		})
-	}
-}
-
-// TestServerModeMatchesInProcess is the --server acceptance check: the
-// same lab run once with in-process predictions and once with every
-// SMiTe prediction routed through an embedded smited daemon must produce
-// bit-identical study results — same admissions, same utilisation, same
-// violation statistics, down to reflect.DeepEqual on the full result.
-func TestServerModeMatchesInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale-out study in short mode")
-	}
-	scale := experiments.TestScale()
-	scale.ServersPerApp = 12
-	lab := experiments.NewLab(scale)
-
-	for _, qos := range []cluster.QoSKind{cluster.QoSAvg, cluster.QoSTail} {
-		inProc, err := lab.ScaleOutStudy(qos, nil)
-		if err != nil {
-			t.Fatalf("%v in-process: %v", qos, err)
-		}
-		viaDaemon, err := scaleOutViaDaemon(context.Background(), lab, qos, io.Discard)
-		if err != nil {
-			t.Fatalf("%v via daemon: %v", qos, err)
-		}
-		if !reflect.DeepEqual(inProc, viaDaemon) {
-			t.Errorf("%v: daemon-served study diverged from in-process:\nin-process: %+v\nvia daemon: %+v",
-				qos, inProc, viaDaemon)
-		}
-	}
-}
-
-// TestScaleOutSmoke runs the whole study at test scale; the experiments
-// package covers the physics, this pins the CLI wiring and report shape.
-func TestScaleOutSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale-out study in short mode")
-	}
-	var out bytes.Buffer
-	if err := run(context.Background(), []string{"-scale", "test", "-servers", "20"}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, want := range []string{"target 95%:", "SMiTe", "Oracle", "Random", "TCO model"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("report missing %q", want)
-		}
 	}
 }
 

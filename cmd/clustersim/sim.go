@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -30,7 +31,7 @@ func (e *FlagError) Error() string {
 	return fmt.Sprintf("invalid -%s value %q: %s", e.Flag, e.Value, e.Reason)
 }
 
-// simOptions carries the discrete-event mode's parsed flags.
+// simOptions carries the parsed flags.
 type simOptions struct {
 	machines    int
 	duration    float64
@@ -44,7 +45,6 @@ type simOptions struct {
 	traceOut    string
 	replay      string
 	summaryJSON string
-	qos         string
 
 	sloClasses  string
 	sloHeadroom float64
@@ -84,16 +84,16 @@ func (o *simOptions) validate() error {
 		if o.machines <= 0 {
 			return &FlagError{Flag: "machines", Value: fmt.Sprint(o.machines), Reason: "fleet size must be positive"}
 		}
-		if o.duration <= 0 {
-			return &FlagError{Flag: "duration", Value: fmt.Sprint(o.duration), Reason: "simulated horizon must be positive"}
+		if !positive(o.duration) {
+			return &FlagError{Flag: "duration", Value: fmt.Sprint(o.duration), Reason: "simulated horizon must be positive and finite"}
 		}
-		if o.churn < 0 {
-			return &FlagError{Flag: "churn", Value: fmt.Sprint(o.churn), Reason: "churn rate must be non-negative"}
+		if !nonNegative(o.churn) {
+			return &FlagError{Flag: "churn", Value: fmt.Sprint(o.churn), Reason: "churn rate must be non-negative and finite"}
 		}
-		if o.arrival < 0 {
-			return &FlagError{Flag: "arrival", Value: fmt.Sprint(o.arrival), Reason: "arrival rate must be non-negative (0 = 30 jobs/machine)"}
+		if !nonNegative(o.arrival) {
+			return &FlagError{Flag: "arrival", Value: fmt.Sprint(o.arrival), Reason: "arrival rate must be non-negative and finite (0 = 30 jobs/machine)"}
 		}
-		if o.target <= 0 || o.target > 1 {
+		if !(o.target > 0 && o.target <= 1) {
 			return &FlagError{Flag: "target", Value: fmt.Sprint(o.target), Reason: "QoS target must be in (0, 1]"}
 		}
 		switch o.policy {
@@ -141,14 +141,11 @@ func (o *simOptions) validate() error {
 			}
 			o.mix = mix
 		}
-		if o.driftFactor < 0 {
-			return &FlagError{Flag: "drift-factor", Value: fmt.Sprint(o.driftFactor), Reason: "drift factor must be non-negative (0 = no drift)"}
+		if !nonNegative(o.driftFactor) {
+			return &FlagError{Flag: "drift-factor", Value: fmt.Sprint(o.driftFactor), Reason: "drift factor must be non-negative and finite (0 = no drift)"}
 		}
-		if o.driftFactor > 0 && o.driftAt < 0 {
-			return &FlagError{Flag: "drift-at", Value: fmt.Sprint(o.driftAt), Reason: "drift time must be non-negative"}
-		}
-		if o.qos != "avg" {
-			return &FlagError{Flag: "qos", Value: o.qos, Reason: "the synthetic sim world only defines avg QoS"}
+		if o.driftFactor > 0 && !nonNegative(o.driftAt) {
+			return &FlagError{Flag: "drift-at", Value: fmt.Sprint(o.driftAt), Reason: "drift time must be non-negative and finite"}
 		}
 		if o.shards < 0 {
 			return &FlagError{Flag: "shards", Value: fmt.Sprint(o.shards), Reason: "shard count must be non-negative"}
@@ -159,6 +156,12 @@ func (o *simOptions) validate() error {
 	}
 	return nil
 }
+
+// positive reports x > 0 and finite; NaN fails.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports x >= 0 and finite; NaN fails.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 func (o *simOptions) policyKind() cluster.PolicyKind {
 	switch o.policy {
@@ -248,14 +251,14 @@ func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
 	if err != nil {
 		return nil, &FlagError{Flag: "slo-classes", Value: o.sloClasses, Reason: err.Error()}
 	}
-	if o.sloHeadroom < 0 || o.sloHeadroom >= 1 {
+	if !(o.sloHeadroom >= 0 && o.sloHeadroom < 1) {
 		return nil, &FlagError{Flag: "slo-headroom", Value: fmt.Sprint(o.sloHeadroom), Reason: "headroom must be in [0,1)"}
 	}
-	if o.sloMu <= 0 {
-		return nil, &FlagError{Flag: "slo-mu", Value: fmt.Sprint(o.sloMu), Reason: "service rate must be positive"}
+	if !positive(o.sloMu) {
+		return nil, &FlagError{Flag: "slo-mu", Value: fmt.Sprint(o.sloMu), Reason: "service rate must be positive and finite"}
 	}
-	if o.sloLambda <= 0 {
-		return nil, &FlagError{Flag: "slo-lambda", Value: fmt.Sprint(o.sloLambda), Reason: "arrival rate must be positive"}
+	if !positive(o.sloLambda) {
+		return nil, &FlagError{Flag: "slo-lambda", Value: fmt.Sprint(o.sloLambda), Reason: "arrival rate must be positive and finite"}
 	}
 	p := &cluster.SLOSimParams{Headroom: o.sloHeadroom}
 	for _, cl := range classes {
@@ -270,9 +273,9 @@ func (o *simOptions) sloParams() (*cluster.SLOSimParams, error) {
 	return p, nil
 }
 
-// Synthetic-world geometry for -sim runs: a 12-context, 6-thread server
-// (the study's Sandy Bridge-EN shape) whose idle contexts take up to 6
-// batch instances, over a 4×6 application population.
+// Synthetic-world geometry: a 12-context, 6-thread server (the study's
+// Sandy Bridge-EN shape) whose idle contexts take up to 6 batch
+// instances, over a 4×6 application population.
 const (
 	simLats     = 4
 	simBatches  = 6
@@ -280,9 +283,9 @@ const (
 	simContexts = 12
 )
 
-// runClusterSim executes the discrete-event mode: either a fresh
-// synthetic-world run (optionally recorded with -trace-out) or a byte-
-// exact replay of a recorded trace.
+// runClusterSim runs the simulator: either a fresh synthetic-world run
+// (optionally recorded with -trace-out) or a byte-exact replay of a
+// recorded trace.
 func runClusterSim(ctx context.Context, o simOptions, w io.Writer) error {
 	if err := o.validate(); err != nil {
 		return err

@@ -13,7 +13,7 @@ import (
 	"repro/internal/cluster"
 )
 
-// Bad sim invocations must be rejected before any simulation work, with
+// Bad invocations must be rejected before any simulation work, with
 // typed errors naming the offending flag (main exits 2 on them).
 func TestSimFlagValidation(t *testing.T) {
 	cases := []struct {
@@ -21,40 +21,53 @@ func TestSimFlagValidation(t *testing.T) {
 		args []string
 		flag string
 	}{
-		{"zero machines", []string{"-sim", "-machines", "0"}, "machines"},
-		{"negative machines", []string{"-sim", "-machines", "-5"}, "machines"},
-		{"zero duration", []string{"-sim", "-duration", "0"}, "duration"},
-		{"negative duration", []string{"-sim", "-duration", "-1"}, "duration"},
-		{"negative churn", []string{"-sim", "-churn", "-0.1"}, "churn"},
-		{"negative arrival", []string{"-sim", "-arrival", "-10"}, "arrival"},
-		{"zero target", []string{"-sim", "-target", "0"}, "target"},
-		{"target above one", []string{"-sim", "-target", "1.5"}, "target"},
-		{"unknown policy", []string{"-sim", "-policy", "greedy"}, "policy"},
-		{"tail qos", []string{"-sim", "-qos", "tail"}, "qos"},
-		{"negative shards", []string{"-sim", "-shards", "-1"}, "shards"},
-		{"negative parallelism", []string{"-sim", "-parallelism", "-2"}, "parallelism"},
+		{"zero machines", []string{"-machines", "0"}, "machines"},
+		{"negative machines", []string{"-machines", "-5"}, "machines"},
+		{"zero duration", []string{"-duration", "0"}, "duration"},
+		{"negative duration", []string{"-duration", "-1"}, "duration"},
+		{"negative churn", []string{"-churn", "-0.1"}, "churn"},
+		{"negative arrival", []string{"-arrival", "-10"}, "arrival"},
+		{"zero target", []string{"-target", "0"}, "target"},
+		{"target above one", []string{"-target", "1.5"}, "target"},
+		// NaN fails every ordered comparison and an infinite horizon never
+		// lets the generator finish: both must be caught at the flag.
+		{"NaN duration", []string{"-duration", "NaN"}, "duration"},
+		{"infinite duration", []string{"-duration", "+Inf"}, "duration"},
+		{"NaN arrival", []string{"-arrival", "NaN"}, "arrival"},
+		{"infinite arrival", []string{"-arrival", "+Inf"}, "arrival"},
+		{"NaN churn", []string{"-churn", "NaN"}, "churn"},
+		{"NaN target", []string{"-target", "NaN"}, "target"},
+		{"NaN drift factor", []string{"-drift-factor", "NaN"}, "drift-factor"},
+		{"NaN drift time", []string{"-drift-factor", "2", "-drift-at", "NaN"}, "drift-at"},
+		{"unknown policy", []string{"-policy", "greedy"}, "policy"},
+		{"negative shards", []string{"-shards", "-1"}, "shards"},
+		{"negative parallelism", []string{"-parallelism", "-2"}, "parallelism"},
 		{"replay negative parallelism", []string{"-replay", "x.trace", "-parallelism", "-1"}, "parallelism"},
-		{"malformed slo classes", []string{"-sim", "-policy", "slo", "-slo-classes", "critical:bogus"}, "slo-classes"},
-		{"empty slo class name", []string{"-sim", "-policy", "slo", "-slo-classes", ":20ms"}, "slo-classes"},
-		{"duplicate slo class", []string{"-sim", "-policy", "slo", "-slo-classes", "a:20ms,a:40ms"}, "slo-classes"},
-		{"slo percentile out of range", []string{"-sim", "-policy", "slo", "-slo-classes", "a:20ms:1.5"}, "slo-classes"},
-		{"slo headroom one", []string{"-sim", "-policy", "slo", "-slo-headroom", "1"}, "slo-headroom"},
-		{"negative slo headroom", []string{"-sim", "-policy", "slo", "-slo-headroom", "-0.1"}, "slo-headroom"},
-		{"zero slo mu", []string{"-sim", "-policy", "slo", "-slo-mu", "0"}, "slo-mu"},
-		{"zero slo lambda", []string{"-sim", "-policy", "slo", "-slo-lambda", "0"}, "slo-lambda"},
-		{"isol without policy", []string{"-sim", "-isol", "a:0.5:0.1"}, "isol"},
-		{"malformed isol entry", []string{"-sim", "-policy", "isolation", "-isol", "a:0.5"}, "isol"},
-		{"isol degscale rises", []string{"-sim", "-policy", "isolation", "-isol", "a:0.5:0.1,b:0.7:0.2"}, "isol"},
-		{"isol degscale zero", []string{"-sim", "-policy", "isolation", "-isol", "a:0:0.1"}, "isol"},
-		{"isolation with drift", []string{"-sim", "-policy", "isolation", "-drift-factor", "1.5"}, "drift-factor"},
-		{"unknown alloc", []string{"-sim", "-alloc", "tetris"}, "alloc"},
-		{"alloc under random", []string{"-sim", "-policy", "random", "-alloc", "spread"}, "alloc"},
-		{"malformed machine mix", []string{"-sim", "-machine-mix", "snb"}, "machine-mix"},
-		{"unknown machine gen", []string{"-sim", "-machine-mix", "alpha=1"}, "machine-mix"},
-		{"duplicate machine gen", []string{"-sim", "-machine-mix", "snb=1,snb=2"}, "machine-mix"},
-		{"zero mix weight", []string{"-sim", "-machine-mix", "snb=0"}, "machine-mix"},
-		{"mix with closedloop", []string{"-sim", "-policy", "closedloop", "-machine-mix", "snb=1"}, "machine-mix"},
-		{"mix with drift", []string{"-sim", "-machine-mix", "snb=1", "-drift-factor", "1.2"}, "machine-mix"},
+		{"malformed slo classes", []string{"-policy", "slo", "-slo-classes", "critical:bogus"}, "slo-classes"},
+		{"empty slo class name", []string{"-policy", "slo", "-slo-classes", ":20ms"}, "slo-classes"},
+		{"duplicate slo class", []string{"-policy", "slo", "-slo-classes", "a:20ms,a:40ms"}, "slo-classes"},
+		{"slo percentile out of range", []string{"-policy", "slo", "-slo-classes", "a:20ms:1.5"}, "slo-classes"},
+		{"slo headroom one", []string{"-policy", "slo", "-slo-headroom", "1"}, "slo-headroom"},
+		{"negative slo headroom", []string{"-policy", "slo", "-slo-headroom", "-0.1"}, "slo-headroom"},
+		{"zero slo mu", []string{"-policy", "slo", "-slo-mu", "0"}, "slo-mu"},
+		{"zero slo lambda", []string{"-policy", "slo", "-slo-lambda", "0"}, "slo-lambda"},
+		{"NaN slo headroom", []string{"-policy", "slo", "-slo-headroom", "NaN"}, "slo-headroom"},
+		{"NaN slo mu", []string{"-policy", "slo", "-slo-mu", "NaN"}, "slo-mu"},
+		{"NaN slo lambda", []string{"-policy", "slo", "-slo-lambda", "NaN"}, "slo-lambda"},
+		{"infinite slo lambda", []string{"-policy", "slo", "-slo-lambda", "+Inf"}, "slo-lambda"},
+		{"isol without policy", []string{"-isol", "a:0.5:0.1"}, "isol"},
+		{"malformed isol entry", []string{"-policy", "isolation", "-isol", "a:0.5"}, "isol"},
+		{"isol degscale rises", []string{"-policy", "isolation", "-isol", "a:0.5:0.1,b:0.7:0.2"}, "isol"},
+		{"isol degscale zero", []string{"-policy", "isolation", "-isol", "a:0:0.1"}, "isol"},
+		{"isolation with drift", []string{"-policy", "isolation", "-drift-factor", "1.5"}, "drift-factor"},
+		{"unknown alloc", []string{"-alloc", "tetris"}, "alloc"},
+		{"alloc under random", []string{"-policy", "random", "-alloc", "spread"}, "alloc"},
+		{"malformed machine mix", []string{"-machine-mix", "snb"}, "machine-mix"},
+		{"unknown machine gen", []string{"-machine-mix", "alpha=1"}, "machine-mix"},
+		{"duplicate machine gen", []string{"-machine-mix", "snb=1,snb=2"}, "machine-mix"},
+		{"zero mix weight", []string{"-machine-mix", "snb=0"}, "machine-mix"},
+		{"mix with closedloop", []string{"-policy", "closedloop", "-machine-mix", "snb=1"}, "machine-mix"},
+		{"mix with drift", []string{"-machine-mix", "snb=1", "-drift-factor", "1.2"}, "machine-mix"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +110,7 @@ func TestSimRecordReplay(t *testing.T) {
 
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-sim", "-machines", "80", "-duration", "1", "-churn", "0.05", "-seed", "9",
+		"-machines", "80", "-duration", "1", "-churn", "0.05", "-seed", "9",
 		"-trace-out", trace, "-summary-json", sum1, "-parallelism", "1",
 	}, &out)
 	if err != nil {
@@ -134,7 +147,7 @@ func TestSimRecordReplay(t *testing.T) {
 func TestSimSummaryJSONSchema(t *testing.T) {
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-sim", "-machines", "40", "-duration", "0.5", "-seed", "3", "-summary-json", "-",
+		"-machines", "40", "-duration", "0.5", "-seed", "3", "-summary-json", "-",
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -167,7 +180,7 @@ func TestSimPolicyFlag(t *testing.T) {
 	for flagVal, want := range map[string]string{"oracle": "Oracle", "random": "Random"} {
 		var out bytes.Buffer
 		err := run(context.Background(), []string{
-			"-sim", "-machines", "30", "-duration", "0.5", "-policy", flagVal,
+			"-machines", "30", "-duration", "0.5", "-policy", flagVal,
 		}, &out)
 		if err != nil {
 			t.Fatalf("-policy %s: %v", flagVal, err)
@@ -186,7 +199,7 @@ func TestSimSLOPolicyCLI(t *testing.T) {
 	sum1 := filepath.Join(dir, "p1.json")
 	sum8 := filepath.Join(dir, "p8.json")
 	base := []string{
-		"-sim", "-machines", "60", "-duration", "1", "-seed", "11",
+		"-machines", "60", "-duration", "1", "-seed", "11",
 		"-policy", "slo", "-slo-headroom", "0.1",
 	}
 	var out bytes.Buffer
@@ -251,7 +264,7 @@ func TestSimIsolationCLI(t *testing.T) {
 	sum1 := filepath.Join(dir, "p1.json")
 	sum8 := filepath.Join(dir, "p8.json")
 	base := []string{
-		"-sim", "-machines", "60", "-duration", "1", "-seed", "11",
+		"-machines", "60", "-duration", "1", "-seed", "11",
 		"-policy", "isolation", "-machine-mix", "snb=3,ivb=2", "-alloc", "spread",
 	}
 	var out bytes.Buffer
@@ -297,7 +310,7 @@ func TestSimIsolationCLI(t *testing.T) {
 	// A custom two-level ladder surfaces in the summary.
 	out.Reset()
 	if err := run(context.Background(), []string{
-		"-sim", "-machines", "40", "-duration", "0.5", "-seed", "11",
+		"-machines", "40", "-duration", "0.5", "-seed", "11",
 		"-policy", "isolation", "-isol", "half:0.7:0.05", "-summary-json", "-",
 	}, &out); err != nil {
 		t.Fatalf("custom ladder: %v", err)
@@ -325,7 +338,7 @@ func TestSimClosedLoopCLI(t *testing.T) {
 	sum1 := filepath.Join(dir, "p1.json")
 	sum8 := filepath.Join(dir, "p8.json")
 	base := []string{
-		"-sim", "-machines", "60", "-duration", "1.5", "-seed", "11",
+		"-machines", "60", "-duration", "1.5", "-seed", "11",
 		"-policy", "closedloop", "-drift-at", "0.5", "-drift-factor", "3",
 	}
 	var out bytes.Buffer
@@ -397,7 +410,7 @@ func TestSimWarehouseScaleSLO(t *testing.T) {
 	sum1 := filepath.Join(dir, "p1.json")
 	sum8 := filepath.Join(dir, "p8.json")
 	base := []string{
-		"-sim", "-machines", machines, "-duration", "0.5", "-arrival", arrival,
+		"-machines", machines, "-duration", "0.5", "-arrival", arrival,
 		"-seed", "17", "-policy", "slo",
 	}
 	var out bytes.Buffer

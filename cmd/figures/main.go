@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	figures [-scale full|test] [-fig all|table1|2|3|6|7|9|10|11|12|13|14|16|18]
+//	figures [-scale full|test] [-fig all|table1,2,3,4,6,7,9,10,11,12,13,14,16,18,ablation,crossmachine]
 //
 // At -scale full the run uses the paper's experiment sizes (all 29 SPEC
 // benchmarks, 4 CloudSuite applications, 4,000-server cluster) and takes
@@ -49,13 +49,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*figFlag, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	sel := func(id string) bool { return all || want[id] }
-
 	type step struct {
 		id  string
 		run func(context.Context) (fmt.Stringer, error)
@@ -77,6 +70,15 @@ func main() {
 		{"18", func(ctx context.Context) (fmt.Stringer, error) { return lab.Fig18TCOContext(ctx) }},
 		{"ablation", func(ctx context.Context) (fmt.Stringer, error) { return lab.ModelAblationContext(ctx) }},
 		{"crossmachine", func(ctx context.Context) (fmt.Stringer, error) { return lab.CrossMachineContext(ctx) }},
+	}
+	ids := make([]string, len(steps))
+	for i, s := range steps {
+		ids[i] = s.id
+	}
+	sel, err := selectFigs(*figFlag, ids)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(2)
 	}
 	ran := 0
 	for _, s := range steps {
@@ -103,8 +105,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: interrupted after %d figure(s); printed results are complete\n", ran)
 		os.Exit(130)
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "figures: no figure matched %q\n", *figFlag)
-		os.Exit(2)
+}
+
+// selectFigs parses the comma-separated -fig list against the known step
+// ids ("all" selects every step). An unknown id is an error naming it, so
+// a typo fails before any figure runs.
+func selectFigs(spec string, ids []string) (func(string) bool, error) {
+	known := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		known[id] = true
 	}
+	want := map[string]bool{}
+	for _, f := range strings.Split(spec, ",") {
+		f = strings.TrimSpace(f)
+		if f != "all" && !known[f] {
+			return nil, fmt.Errorf("unknown figure id %q (want all or one of %s)", f, strings.Join(ids, ","))
+		}
+		want[f] = true
+	}
+	return func(id string) bool { return want["all"] || want[id] }, nil
 }

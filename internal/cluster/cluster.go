@@ -80,11 +80,6 @@ func (t *Table) Complete() error {
 	return nil
 }
 
-// The Predictor seam (predictor.go) supplies predicted degradations from
-// outside the table — for example the qosd serving daemon, letting a
-// study's SMiTe policy consult a live service instead of pre-baked
-// predictions.
-
 // QoSKind selects how QoS is defined.
 type QoSKind int
 
@@ -172,11 +167,6 @@ type Study struct {
 	ContextsPerServer int
 	// Seed drives batch-application arrival randomness.
 	Seed uint64
-	// Predictor, when non-nil, replaces Table.Predicted as the source of
-	// predicted degradations for admission. The Oracle policy still reads
-	// measured values, and scoring always uses measured values — only the
-	// prediction side is swappable.
-	Predictor Predictor
 }
 
 // Result summarises one policy × QoS-target run.
@@ -270,12 +260,6 @@ func (s *Study) Run(policy PolicyKind, qos QoSKind, target float64) (Result, err
 			d := e.Predicted
 			if useActual {
 				d = e.Actual
-			} else if s.Predictor != nil {
-				pred, err := s.Predictor.Predict(sv.lat, sv.batch, n)
-				if err != nil {
-					return err
-				}
-				d = pred.Deg
 			}
 			q, err := s.qosOf(qos, sv.lat, d)
 			if err != nil {

@@ -40,11 +40,11 @@ type Prediction struct {
 	Gen uint64
 }
 
-// Predictor supplies predicted degradations from outside a degradation
-// table — the surrogate tier, the qosd serving daemon, or any other
-// prediction source a study or simulator consults. Implementations must
-// be deterministic for a given (lat, batch, n) and safe for concurrent
-// use (BuildPredTable fans cells across workers).
+// Predictor supplies predicted degradations — the surrogate tier, the
+// measured table, or the two tiered — for BuildPredTable to precompute
+// the simulator's surface from. Implementations must be deterministic
+// for a given (lat, batch, n) and safe for concurrent use
+// (BuildPredTable fans cells across workers).
 type Predictor interface {
 	// Predict returns the latency application's predicted degradation —
 	// with its bound, tier and generation — when co-located with n
@@ -87,9 +87,8 @@ type SurrogatePredictor struct {
 	Capacity int
 }
 
-// predict returns the surrogate answer with its propagated error bound
-// (the same soundness argument as surrogate.Set.PredictWith, with the
-// aggressor curves evaluated at the occupancy-scaled intensity).
+// predict returns the surrogate answer with its propagated error bound:
+// surrogate.Set.PredictAt with the aggressor at occupancy n/Capacity.
 func (p *SurrogatePredictor) predict(lat, batch string, n int) (surrogate.Prediction, error) {
 	if p.Set == nil || p.Set.Eq3 == nil {
 		return surrogate.Prediction{}, fmt.Errorf("cluster: surrogate predictor needs a set with an embedded Eq3 model")
@@ -97,27 +96,11 @@ func (p *SurrogatePredictor) predict(lat, batch string, n int) (surrogate.Predic
 	if p.Capacity <= 0 {
 		return surrogate.Prediction{}, fmt.Errorf("cluster: surrogate predictor capacity must be positive, got %d", p.Capacity)
 	}
-	mv, err := p.Set.Model(lat)
-	if err != nil {
-		return surrogate.Prediction{}, err
-	}
-	ma, err := p.Set.Model(batch)
-	if err != nil {
-		return surrogate.Prediction{}, err
-	}
 	x := float64(n) / float64(p.Capacity)
 	if x > 1 {
 		x = 1
 	}
-	eq3 := *p.Set.Eq3
-	pred := surrogate.Prediction{Degradation: eq3.Intercept * x}
-	for d := range eq3.Coef {
-		sen, con := mv.Sen[d].At(1), ma.Con[d].At(x)
-		es, ec := mv.Sen[d].MaxAbsErr, ma.Con[d].MaxAbsErr
-		pred.Degradation += eq3.Coef[d] * sen * con
-		pred.Bound += abs(eq3.Coef[d]) * (abs(sen)*ec + es*abs(con) + es*ec)
-	}
-	return pred, nil
+	return p.Set.PredictAt(*p.Set.Eq3, lat, batch, x)
 }
 
 // Predict implements Predictor with the propagated surrogate certificate.
@@ -150,9 +133,6 @@ type tierState struct {
 // answer — in-flight predictions keep the set they started with, and
 // consumers can tell pre- from post-refresh answers by Prediction.Gen.
 type TieredPredictor struct {
-	// Threshold is the largest surrogate error bound served before
-	// falling back; zero means DefaultTierThreshold.
-	Threshold float64
 	// Fallback answers when the surrogate bound is too loose or the
 	// surrogate has no model for an application.
 	Fallback Predictor
@@ -160,13 +140,13 @@ type TieredPredictor struct {
 	state atomic.Pointer[tierState]
 }
 
-// DefaultTierThreshold matches qosd.DefaultSurrogateThreshold: bounds
-// above five degradation points fall back to measured predictions.
+// DefaultTierThreshold is the largest surrogate error bound a
+// TieredPredictor serves. It matches qosd.DefaultSurrogateThreshold:
+// bounds above five degradation points fall back to measured predictions.
 const DefaultTierThreshold = 0.05
 
 // NewTieredPredictor builds the two-tier predictor: sur answers when its
-// bound clears the threshold (DefaultTierThreshold; adjust via the
-// Threshold field before first use), fallback otherwise. The initial
+// bound clears DefaultTierThreshold, fallback otherwise. The initial
 // surrogate state is generation 1.
 func NewTieredPredictor(sur *SurrogatePredictor, fallback Predictor) *TieredPredictor {
 	t := &TieredPredictor{Fallback: fallback}
@@ -251,17 +231,13 @@ func (t *TieredPredictor) SwapModels(models map[string]*surrogate.Model) uint64 
 // bound for the measured table). Every answer is stamped with the tier's
 // current generation.
 func (t *TieredPredictor) Predict(lat, batch string, n int) (Prediction, error) {
-	thr := t.Threshold
-	if thr <= 0 {
-		thr = DefaultTierThreshold
-	}
 	st := t.state.Load()
 	var gen uint64
 	if st != nil {
 		gen = st.gen
 	}
 	if st != nil && st.sur != nil {
-		if pred, err := st.sur.predict(lat, batch, n); err == nil && pred.Bound <= thr {
+		if pred, err := st.sur.predict(lat, batch, n); err == nil && pred.Bound <= DefaultTierThreshold {
 			return Prediction{Deg: pred.Degradation, Bound: pred.Bound, Tier: TierSurrogate, Gen: gen}, nil
 		}
 	}
@@ -274,11 +250,4 @@ func (t *TieredPredictor) Predict(lat, batch string, n int) (Prediction, error) 
 	}
 	pred.Gen = gen
 	return pred, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -157,7 +157,7 @@ func (c SimConfig) Validate() error {
 			return err
 		}
 	}
-	if c.Target <= 0 || c.Target > 1 {
+	if !(c.Target > 0 && c.Target <= 1) {
 		return fmt.Errorf("cluster: QoS target %.3f outside (0,1]", c.Target)
 	}
 	if c.ThreadsPerServer <= 0 || c.ContextsPerServer <= 0 {

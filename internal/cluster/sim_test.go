@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -375,6 +376,20 @@ func TestSimSLOValidation(t *testing.T) {
 	cfg.SLO.Headroom = 1
 	if err := cfg.Validate(); err == nil {
 		t.Error("headroom 1 accepted")
+	}
+	// NaN fails every ordered comparison; it must not slip through as a
+	// rate or a target that then rejects every arrival.
+	for name, mut := range map[string]func(*SimConfig){
+		"NaN mu":          func(c *SimConfig) { c.SLO.Classes[0].Mu = math.NaN() },
+		"infinite lambda": func(c *SimConfig) { c.SLO.Classes[0].Lambda = math.Inf(1) },
+		"NaN target":      func(c *SimConfig) { c.Target = math.NaN() },
+	} {
+		c := cfg
+		c.SLO = sloSimParams()
+		mut(&c)
+		if c.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	// Legacy tables without the degradation surface cannot be SLO-gated.
 	cfg.SLO = sloSimParams()

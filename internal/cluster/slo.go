@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/admit"
 	"repro/internal/queueing"
@@ -70,7 +71,7 @@ func (p *SLOSimParams) withDefaults() *SLOSimParams {
 
 // Validate rejects parameter sets the gate cannot evaluate: the class
 // set fails admit.ValidateClasses, or a class's queue rates are not
-// positive.
+// positive and finite.
 func (p *SLOSimParams) Validate() error {
 	if p == nil {
 		return fmt.Errorf("cluster: SLO policy needs SLO parameters")
@@ -78,8 +79,8 @@ func (p *SLOSimParams) Validate() error {
 	q := p.withDefaults()
 	classes := make([]admit.Class, len(q.Classes))
 	for i, cl := range q.Classes {
-		if cl.Mu <= 0 || cl.Lambda <= 0 {
-			return fmt.Errorf("cluster: SLO class %q queue rates must be positive (mu=%g, lambda=%g)",
+		if !(cl.Mu > 0 && cl.Lambda > 0) || math.IsInf(cl.Mu, 1) || math.IsInf(cl.Lambda, 1) {
+			return fmt.Errorf("cluster: SLO class %q queue rates must be positive and finite (mu=%g, lambda=%g)",
 				cl.Name, cl.Mu, cl.Lambda)
 		}
 		classes[i] = cl.class()

@@ -124,36 +124,44 @@ type Config struct {
 // empty (or churn-only) stream, which the simulator and trace codec
 // round-trip to an empty placement log. Horizon stays strictly positive
 // even then — the window length is derived from it, and a zero horizon
-// would poison the per-window rate math with NaNs.
+// would poison the per-window rate math with NaNs. Every rate and length
+// must be finite: NaN fails every comparison and an infinite horizon or
+// rate never lets the generator finish.
 func (c Config) Validate() error {
 	switch {
 	case c.Machines < 0:
 		return fmt.Errorf("workload: Machines must be non-negative, got %d", c.Machines)
-	case c.Horizon <= 0:
-		return fmt.Errorf("workload: Horizon must be positive, got %g", c.Horizon)
+	case !positive(c.Horizon):
+		return fmt.Errorf("workload: Horizon must be positive and finite, got %g", c.Horizon)
 	case c.Lats <= 0 || c.Batches <= 0:
 		return fmt.Errorf("workload: need positive application counts, got %d lats, %d batches", c.Lats, c.Batches)
-	case c.ArrivalRate < 0:
-		return fmt.Errorf("workload: ArrivalRate must be non-negative, got %g", c.ArrivalRate)
-	case c.ArrivalRate > 0 && c.MeanDuration <= 0:
-		return fmt.Errorf("workload: MeanDuration must be positive with arrivals enabled, got %g", c.MeanDuration)
-	case c.Diurnal < 0 || c.Diurnal >= 1:
+	case !nonNegative(c.ArrivalRate):
+		return fmt.Errorf("workload: ArrivalRate must be non-negative and finite, got %g", c.ArrivalRate)
+	case c.ArrivalRate > 0 && !positive(c.MeanDuration):
+		return fmt.Errorf("workload: MeanDuration must be positive and finite with arrivals enabled, got %g", c.MeanDuration)
+	case !(c.Diurnal >= 0 && c.Diurnal < 1):
 		return fmt.Errorf("workload: Diurnal must be in [0, 1), got %g", c.Diurnal)
-	case c.Period < 0:
-		return fmt.Errorf("workload: Period must be non-negative, got %g", c.Period)
-	case c.BurstProb < 0 || c.BurstProb > 1:
+	case !nonNegative(c.Period):
+		return fmt.Errorf("workload: Period must be non-negative and finite, got %g", c.Period)
+	case !(c.BurstProb >= 0 && c.BurstProb <= 1):
 		return fmt.Errorf("workload: BurstProb must be in [0, 1], got %g", c.BurstProb)
-	case c.BurstProb > 0 && c.BurstFactor <= 1:
-		return fmt.Errorf("workload: BurstFactor must exceed 1 with bursts enabled, got %g", c.BurstFactor)
-	case c.Window < 0:
-		return fmt.Errorf("workload: Window must be non-negative, got %g", c.Window)
-	case c.Drift < 0:
-		return fmt.Errorf("workload: Drift must be non-negative, got %g", c.Drift)
-	case c.Churn < 0:
-		return fmt.Errorf("workload: Churn must be non-negative, got %g", c.Churn)
+	case c.BurstProb > 0 && !(c.BurstFactor > 1 && !math.IsInf(c.BurstFactor, 1)):
+		return fmt.Errorf("workload: BurstFactor must be finite and exceed 1 with bursts enabled, got %g", c.BurstFactor)
+	case !nonNegative(c.Window):
+		return fmt.Errorf("workload: Window must be non-negative and finite, got %g", c.Window)
+	case !nonNegative(c.Drift):
+		return fmt.Errorf("workload: Drift must be non-negative and finite, got %g", c.Drift)
+	case !nonNegative(c.Churn):
+		return fmt.Errorf("workload: Churn must be non-negative and finite, got %g", c.Churn)
 	}
 	return nil
 }
+
+// positive reports x > 0 and finite; NaN fails.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// nonNegative reports x >= 0 and finite; NaN fails.
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // window returns the effective window length.
 func (c Config) window() float64 {

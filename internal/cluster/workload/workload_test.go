@@ -169,6 +169,25 @@ func TestValidate(t *testing.T) {
 		{"burst", func(c *Config) { c.BurstProb = 0.5 }, "BurstFactor"},
 		{"drift", func(c *Config) { c.Drift = -0.1 }, "Drift"},
 		{"churn", func(c *Config) { c.Churn = -1 }, "Churn"},
+		// NaN fails every ordered comparison, and an infinite horizon or
+		// rate never lets Generate finish.
+		{"horizon NaN", func(c *Config) { c.Horizon = math.NaN() }, "Horizon"},
+		{"horizon Inf", func(c *Config) { c.Horizon = math.Inf(1) }, "Horizon"},
+		{"arrival NaN", func(c *Config) { c.ArrivalRate = math.NaN() }, "ArrivalRate"},
+		{"arrival Inf", func(c *Config) { c.ArrivalRate = math.Inf(1) }, "ArrivalRate"},
+		{"duration NaN", func(c *Config) { c.MeanDuration = math.NaN() }, "MeanDuration"},
+		{"duration Inf", func(c *Config) { c.MeanDuration = math.Inf(1) }, "MeanDuration"},
+		{"diurnal NaN", func(c *Config) { c.Diurnal = math.NaN() }, "Diurnal"},
+		{"period NaN", func(c *Config) { c.Period = math.NaN() }, "Period"},
+		{"period Inf", func(c *Config) { c.Period = math.Inf(1) }, "Period"},
+		{"burst prob NaN", func(c *Config) { c.BurstProb = math.NaN() }, "BurstProb"},
+		{"burst factor NaN", func(c *Config) { c.BurstProb, c.BurstFactor = 0.5, math.NaN() }, "BurstFactor"},
+		{"burst factor Inf", func(c *Config) { c.BurstProb, c.BurstFactor = 0.5, math.Inf(1) }, "BurstFactor"},
+		{"window NaN", func(c *Config) { c.Window = math.NaN() }, "Window"},
+		{"window Inf", func(c *Config) { c.Window = math.Inf(1) }, "Window"},
+		{"drift NaN", func(c *Config) { c.Drift = math.NaN() }, "Drift"},
+		{"churn NaN", func(c *Config) { c.Churn = math.NaN() }, "Churn"},
+		{"churn Inf", func(c *Config) { c.Churn = math.Inf(1) }, "Churn"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

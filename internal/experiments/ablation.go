@@ -32,12 +32,7 @@ type AblationRow struct {
 	TrainErr float64
 }
 
-// ModelAblation runs the comparison.
-func (l *Lab) ModelAblation() (AblationResult, error) {
-	return l.ModelAblationContext(context.Background())
-}
-
-// ModelAblationContext is ModelAblation with cooperative cancellation.
+// ModelAblationContext runs the comparison.
 func (l *Lab) ModelAblationContext(ctx context.Context) (AblationResult, error) {
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())

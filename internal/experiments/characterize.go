@@ -28,14 +28,9 @@ type SenConResult struct {
 	Chars []profile.Characterization
 }
 
-// Fig2FunctionalUnits measures sensitivity and contentiousness on the four
-// functional-unit dimensions for all applications (paper Figure 2).
-func (l *Lab) Fig2FunctionalUnits() (SenConResult, error) {
-	return l.Fig2FunctionalUnitsContext(context.Background())
-}
-
-// Fig2FunctionalUnitsContext is Fig2FunctionalUnits with cooperative
-// cancellation.
+// Fig2FunctionalUnitsContext measures sensitivity and contentiousness on
+// the four functional-unit dimensions for all applications (paper Figure
+// 2).
 func (l *Lab) Fig2FunctionalUnitsContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -48,14 +43,8 @@ func (l *Lab) Fig2FunctionalUnitsContext(ctx context.Context) (SenConResult, err
 	}, nil
 }
 
-// Fig4MemorySubsystem measures sensitivity and contentiousness on the
-// cache dimensions (paper Figure 4).
-func (l *Lab) Fig4MemorySubsystem() (SenConResult, error) {
-	return l.Fig4MemorySubsystemContext(context.Background())
-}
-
-// Fig4MemorySubsystemContext is Fig4MemorySubsystem with cooperative
-// cancellation.
+// Fig4MemorySubsystemContext measures sensitivity and contentiousness on
+// the cache dimensions (paper Figure 4).
 func (l *Lab) Fig4MemorySubsystemContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -68,12 +57,7 @@ func (l *Lab) Fig4MemorySubsystemContext(ctx context.Context) (SenConResult, err
 	}, nil
 }
 
-// Fig6Summary is the full seven-dimension matrix (paper Figure 6).
-func (l *Lab) Fig6Summary() (SenConResult, error) {
-	return l.Fig6SummaryContext(context.Background())
-}
-
-// Fig6SummaryContext is Fig6Summary with cooperative cancellation.
+// Fig6SummaryContext is the full seven-dimension matrix (paper Figure 6).
 func (l *Lab) Fig6SummaryContext(ctx context.Context) (SenConResult, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {
@@ -148,13 +132,8 @@ type Fig7Result struct {
 	FracBelow50 float64
 }
 
-// Fig7Correlation computes the absolute Pearson correlations among all 14
-// sensitivity/contentiousness dimensions across applications.
-func (l *Lab) Fig7Correlation() (Fig7Result, error) {
-	return l.Fig7CorrelationContext(context.Background())
-}
-
-// Fig7CorrelationContext is Fig7Correlation with cooperative cancellation.
+// Fig7CorrelationContext computes the absolute Pearson correlations among
+// all 14 sensitivity/contentiousness dimensions across applications.
 func (l *Lab) Fig7CorrelationContext(ctx context.Context) (Fig7Result, error) {
 	chars, err := l.characterizeAllApps(ctx)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func TestCheckedSmokePath(t *testing.T) {
 	scale.Options.Check = true
 	l := NewLab(scale)
 
-	fig2, err := l.Fig2FunctionalUnits()
+	fig2, err := l.Fig2FunctionalUnitsContext(context.Background())
 	if err != nil {
 		t.Fatalf("checked Fig2 run: %v", err)
 	}
@@ -25,7 +26,7 @@ func TestCheckedSmokePath(t *testing.T) {
 		t.Fatal("no characterizations")
 	}
 
-	fig9, err := l.Fig9RulerValidation()
+	fig9, err := l.Fig9RulerValidationContext(context.Background())
 	if err != nil {
 		t.Fatalf("checked Fig9 run: %v", err)
 	}

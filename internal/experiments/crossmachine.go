@@ -26,12 +26,8 @@ type CrossMachineResult struct {
 	RetrainedErr float64
 }
 
-// CrossMachine runs the transfer study on the SPEC even/odd protocol.
-func (l *Lab) CrossMachine() (CrossMachineResult, error) {
-	return l.CrossMachineContext(context.Background())
-}
-
-// CrossMachineContext is CrossMachine with cooperative cancellation.
+// CrossMachineContext runs the transfer study on the SPEC even/odd
+// protocol.
 func (l *Lab) CrossMachineContext(ctx context.Context) (CrossMachineResult, error) {
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())

@@ -224,19 +224,14 @@ func (l *Lab) cloudSet() []*workload.Spec {
 // per core (half load).
 func (l *Lab) cloudThreads() int { return l.SNB.Cores }
 
-// Characterizations returns (and memoises) the characterizations of a set
-// of applications on a machine under a placement. The memo key derives
-// from the set's contents, so equal sets share work regardless of how a
-// caller names them. The memo is single-flight per key: concurrent
-// callers of the same missing key block on one characterization fan-out
-// and share its result instead of each running the full sweep and
-// discarding all but one (the check-then-act race this replaces).
-func (l *Lab) Characterizations(m Machine, placement profile.Placement, set []*workload.Spec, setName string) ([]profile.Characterization, error) {
-	return l.CharacterizationsContext(context.Background(), m, placement, set, setName)
-}
-
-// CharacterizationsContext is Characterizations with cooperative
-// cancellation: the characterization fan-out aborts mid-simulation when ctx
+// CharacterizationsContext returns (and memoises) the characterizations of
+// a set of applications on a machine under a placement. The memo key
+// derives from the set's contents, so equal sets share work regardless of
+// how a caller names them. The memo is single-flight per key: concurrent
+// callers of the same missing key block on one characterization fan-out and
+// share its result instead of each running the full sweep and discarding
+// all but one (the check-then-act race this replaces). Cancellation is
+// cooperative: the characterization fan-out aborts mid-simulation when ctx
 // is cancelled, and a waiter blocked on another caller's flight stops
 // waiting when its own ctx dies (the flight itself is unaffected). A
 // cancelled leader's flight caches nothing, so later callers retry.

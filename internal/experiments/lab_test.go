@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int, set []*workload.Spec) {
 			defer wg.Done()
-			results[i], errs[i] = lab.Characterizations(IvyBridge, profile.SMT, set, "race-test")
+			results[i], errs[i] = lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, set, "race-test")
 		}(i, set)
 	}
 	wg.Wait()
@@ -82,7 +83,7 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 		t.Errorf("characterization fan-out executed %d times for one key, want 1 (single-flight)", runs)
 	}
 	// A second, sequential call is a pure memo hit.
-	if _, err := lab.Characterizations(IvyBridge, profile.SMT, sets[0], "race-test"); err != nil {
+	if _, err := lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, sets[0], "race-test"); err != nil {
 		t.Fatal(err)
 	}
 	if runs := lab.charRuns.Load(); runs != 1 {
@@ -123,7 +124,7 @@ func TestScaleReducedCoresClampsCloudThreads(t *testing.T) {
 			spec.ThreadCount(), lab.SNB.Cores)
 	}
 	// ... while Characterizations clamps and succeeds.
-	chars, err := lab.Characterizations(SandyBridgeEN, profile.SMT, set, "clamp-test")
+	chars, err := lab.CharacterizationsContext(context.Background(), SandyBridgeEN, profile.SMT, set, "clamp-test")
 	if err != nil {
 		t.Fatalf("Characterizations with reduced cores: %v", err)
 	}

@@ -33,24 +33,14 @@ type PredictionResult struct {
 	MeasuredPerApp map[string]float64
 }
 
-// Fig10SpecSMT reproduces Figure 10: SMT co-location prediction on SPEC
-// (even-numbered train, odd-numbered test, Ivy Bridge).
-func (l *Lab) Fig10SpecSMT() (PredictionResult, error) {
-	return l.Fig10SpecSMTContext(context.Background())
-}
-
-// Fig10SpecSMTContext is Fig10SpecSMT with cooperative cancellation.
+// Fig10SpecSMTContext reproduces Figure 10: SMT co-location prediction on
+// SPEC (even-numbered train, odd-numbered test, Ivy Bridge).
 func (l *Lab) Fig10SpecSMTContext(ctx context.Context) (PredictionResult, error) {
 	return l.specPrediction(ctx, profile.SMT, "Figure 10: SMT co-location prediction accuracy (SPEC CPU2006)")
 }
 
-// Fig11SpecCMP reproduces Figure 11: the same protocol under CMP
+// Fig11SpecCMPContext reproduces Figure 11: the same protocol under CMP
 // placement.
-func (l *Lab) Fig11SpecCMP() (PredictionResult, error) {
-	return l.Fig11SpecCMPContext(context.Background())
-}
-
-// Fig11SpecCMPContext is Fig11SpecCMP with cooperative cancellation.
 func (l *Lab) Fig11SpecCMPContext(ctx context.Context) (PredictionResult, error) {
 	return l.specPrediction(ctx, profile.CMP, "Figure 11: CMP co-location prediction accuracy (SPEC CPU2006)")
 }
@@ -142,24 +132,15 @@ type cloudEntry struct {
 	pmuPred    float64
 }
 
-// cloudStudy caches the CloudSuite co-location measurements and models
-// shared by Figure 12 and the scale-out studies.
+// cloudStudy caches the CloudSuite co-location measurements and
+// predictions shared by Figure 12 and the scale-out studies.
 type cloudStudy struct {
 	placementTables map[profile.Placement][]cloudEntry
-	smite           map[profile.Placement]model.Smite
-	pmu             map[profile.Placement]model.PMULinear
-	threads         int
 	latApps         []string
 	batchApps       []string
 	services        map[string]service.Service
 	// maxInstances per placement.
 	maxInstances map[profile.Placement]int
-	// servingSen and servingChars retain the SMT-placement inputs of the
-	// table's predictions (Sen(n) per latency app, full characterizations
-	// for the Con side) so ServingArtifacts can hand the exact prediction
-	// inputs to a qosd daemon.
-	servingSen   map[string][]profile.Characterization // lat app → index n-1
-	servingChars map[string]profile.Characterization
 }
 
 // cloudStudyData builds (and memoises) the CloudSuite study: models are
@@ -217,9 +198,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 
 	cs := &cloudStudy{
 		placementTables: make(map[profile.Placement][]cloudEntry),
-		smite:           make(map[profile.Placement]model.Smite),
-		pmu:             make(map[profile.Placement]model.PMULinear),
-		threads:         threads,
 		services:        make(map[string]service.Service),
 		maxInstances: map[profile.Placement]int{
 			profile.SMT: threads,
@@ -268,8 +246,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 		if err != nil {
 			return nil, err
 		}
-		cs.smite[placement] = smite
-		cs.pmu[placement] = pmuM
 
 		latThreads := threads
 		if placement == profile.CMP {
@@ -292,10 +268,6 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 				arr[n-1] = chN
 			}
 			senByCount[latSpec.Name] = arr
-		}
-		if placement == profile.SMT {
-			cs.servingSen = senByCount
-			cs.servingChars = charBy
 		}
 		var entries []cloudEntry
 		for _, latSpec := range cloudApps {
@@ -364,14 +336,9 @@ type Fig12Row struct {
 	SmiteErr, PMUErr                      float64
 }
 
-// Fig12CloudSuite reproduces Figure 12: prediction accuracy for the
+// Fig12CloudSuiteContext reproduces Figure 12: prediction accuracy for the
 // CloudSuite latency-sensitive applications under SMT and CMP co-location
 // with SPEC batch applications on the Sandy Bridge-EN machine.
-func (l *Lab) Fig12CloudSuite() (Fig12Result, error) {
-	return l.Fig12CloudSuiteContext(context.Background())
-}
-
-// Fig12CloudSuiteContext is Fig12CloudSuite with cooperative cancellation.
 func (l *Lab) Fig12CloudSuiteContext(ctx context.Context) (Fig12Result, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
@@ -444,14 +411,9 @@ func (r Fig12Result) String() string {
 	return b.String()
 }
 
-// ClusterTable exports the SMT cloud study as the degradation table the
+// clusterTable exports the SMT cloud study as the degradation table the
 // scale-out experiments consume.
-func (l *Lab) ClusterTable() (*cluster.Table, map[string]service.Service, error) {
-	return l.ClusterTableContext(context.Background())
-}
-
-// ClusterTableContext is ClusterTable with cooperative cancellation.
-func (l *Lab) ClusterTableContext(ctx context.Context) (*cluster.Table, map[string]service.Service, error) {
+func (l *Lab) clusterTable(ctx context.Context) (*cluster.Table, map[string]service.Service, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -462,50 +424,6 @@ func (l *Lab) ClusterTableContext(ctx context.Context) (*cluster.Table, map[stri
 		tbl.Set(e.lat, e.batch, e.n, cluster.Entry{Actual: e.actual, Predicted: e.predicted})
 	}
 	return tbl, cs.services, nil
-}
-
-// ServingArtifacts is everything a qosd daemon needs to reproduce the
-// SMT scale-out study's predictions: the exact characterizations the
-// table's predicted degradations were computed from, plus the trained
-// model and the study geometry.
-type ServingArtifacts struct {
-	// SenByCount maps each latency application to its partial-occupancy
-	// sensitivity profiles (index n-1 holds Sen(n)).
-	SenByCount map[string][]profile.Characterization
-	// Chars holds the full SMT characterizations by application name (the
-	// Con side of every prediction).
-	Chars map[string]profile.Characterization
-	// LatApps and BatchApps name the study's applications in table order.
-	LatApps, BatchApps []string
-	// Model is the trained Equation 3 model behind the predictions.
-	Model model.Smite
-	// Threads is the latency application's thread count per server;
-	// MaxInstances the largest co-located instance count.
-	Threads, MaxInstances int
-}
-
-// ServingArtifacts exports the SMT cloud study's prediction inputs (see
-// the ServingArtifacts type). It builds the cloud study on first use.
-func (l *Lab) ServingArtifacts() (ServingArtifacts, error) {
-	return l.ServingArtifactsContext(context.Background())
-}
-
-// ServingArtifactsContext is ServingArtifacts with cooperative
-// cancellation.
-func (l *Lab) ServingArtifactsContext(ctx context.Context) (ServingArtifacts, error) {
-	cs, err := l.cloudStudyData(ctx)
-	if err != nil {
-		return ServingArtifacts{}, err
-	}
-	return ServingArtifacts{
-		SenByCount:   cs.servingSen,
-		Chars:        cs.servingChars,
-		LatApps:      append([]string(nil), cs.latApps...),
-		BatchApps:    append([]string(nil), cs.batchApps...),
-		Model:        cs.smite[profile.SMT],
-		Threads:      cs.threads,
-		MaxInstances: cs.maxInstances[profile.SMT],
-	}, nil
 }
 
 // meanMeasured is a small helper used by tests.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,13 +21,13 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 	t.Log(t1.String())
 
-	fig6, err := l.Fig6Summary()
+	fig6, err := l.Fig6SummaryContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig6.String())
 
-	fig7, err := l.Fig7Correlation()
+	fig7, err := l.Fig7CorrelationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Errorf("Fig7: only %.2f of dimension pairs decorrelated below 0.8; paper reports 97.96%%", fig7.FracBelow80)
 	}
 
-	fig10, err := l.Fig10SpecSMT()
+	fig10, err := l.Fig10SpecSMTContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +45,19 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Errorf("Fig10: SMiTe (%.3f) should beat PMU (%.3f)", fig10.SmiteEval.MeanAbsError, fig10.PMUEval.MeanAbsError)
 	}
 
-	fig12, err := l.Fig12CloudSuite()
+	fig12, err := l.Fig12CloudSuiteContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig12.String())
 
-	fig13, err := l.Fig13TailLatency()
+	fig13, err := l.Fig13TailLatencyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Log(fig13.String())
 
-	fig14, err := l.Fig14And15AvgQoS()
+	fig14, err := l.Fig14And15AvgQoSContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Errorf("Fig14: utilization gain should grow as QoS loosens (95%%: %.3f, 85%%: %.3f)", g95, g85)
 	}
 
-	fig18, err := l.Fig18TCO()
+	fig18, err := l.Fig18TCOContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 	}
 	l := NewLab(TestScale())
 
-	ports, err := l.Fig3And5PortUtilization()
+	ports, err := l.Fig3And5PortUtilizationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 		t.Errorf("store port median %.3f above load port median %.3f", ports.Median(4), ports.Median(2))
 	}
 
-	fig9, err := l.Fig9RulerValidation()
+	fig9, err := l.Fig9RulerValidationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestExperimentsSmoke2(t *testing.T) {
 		}
 	}
 
-	fig11, err := l.Fig11SpecCMP()
+	fig11, err := l.Fig11SpecCMPContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestModelAblation(t *testing.T) {
 		t.Skip("ablation in short mode")
 	}
 	l := NewLab(TestScale())
-	r, err := l.ModelAblation()
+	r, err := l.ModelAblationContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestCrossMachine(t *testing.T) {
 		t.Skip("cross-machine study in short mode")
 	}
 	l := NewLab(TestScale())
-	r, err := l.CrossMachine()
+	r, err := l.CrossMachineContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,7 @@
 // The package provides three pieces: a concurrent Registry of profiles
 // and the model, a Server exposing the decision endpoints with
 // production plumbing (bounded concurrency, per-request timeouts,
-// structured logging, typed JSON errors, metrics), and a Client used by
-// cmd/clustersim to replay the scale-out study through a live daemon.
+// structured logging, typed JSON errors, metrics), and a typed Client.
 // cmd/smited is the standalone daemon built on this package.
 package qosd
 

@@ -135,11 +135,3 @@ func (r *Registry) snapshot(victim, aggressor string) (v, a smite.Characterizati
 	}
 	return v, a, r.model, r.gen, nil
 }
-
-// PartialProfileName is the registry naming convention for
-// partial-occupancy sensitivity profiles: the Sen(n) profile of app
-// measured with n Ruler instances is registered as "app#n". The plain
-// name remains the full-occupancy characterization.
-func PartialProfileName(app string, instances int) string {
-	return fmt.Sprintf("%s#%d", app, instances)
-}

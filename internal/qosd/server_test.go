@@ -508,12 +508,6 @@ func TestConcurrentTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPartialProfileName(t *testing.T) {
-	if got := PartialProfileName("web-search", 3); got != "web-search#3" {
-		t.Errorf("got %q", got)
-	}
-}
-
 func TestUploadErrorMapsAllLoadClasses(t *testing.T) {
 	for _, err := range []error{
 		fmt.Errorf("wrap: %w", smite.ErrCorrupt),

@@ -139,7 +139,17 @@ func (s *Set) Characterizations() []profile.Characterization {
 
 // PredictWith evaluates Equation 3 with the given coefficient vector on
 // the surrogate feature vectors of victim and aggressor, and propagates
-// the curves' residual bounds into a certificate.
+// the curves' residual bounds into a certificate. It is PredictAt at full
+// occupancy.
+func (s *Set) PredictWith(m model.Smite, victim, aggressor string) (Prediction, error) {
+	return s.PredictAt(m, victim, aggressor, 1)
+}
+
+// PredictAt is PredictWith with the aggressor at occupancy x ∈ [0, 1]: its
+// contentiousness curves are evaluated at intensity x and the intercept,
+// which must vanish with no aggressor present, is scaled by x (mirroring
+// model.Smite.PredictPartial). The victim's sensitivities stay at full
+// intensity. At x = 1 this is the pairwise prediction bit for bit.
 //
 // Soundness of the bound: writing the surrogate features sen = sen* + εs
 // and con = con* + εc against the engine features sen*, con* the curves
@@ -151,7 +161,7 @@ func (s *Set) Characterizations() []profile.Characterization {
 // Es, Ec the recorded MaxAbsErr of the two curves. Summing over
 // dimensions gives Bound ≥ |surrogate prediction − the same model
 // evaluated on engine features at the training grid|.
-func (s *Set) PredictWith(m model.Smite, victim, aggressor string) (Prediction, error) {
+func (s *Set) PredictAt(m model.Smite, victim, aggressor string, x float64) (Prediction, error) {
 	mv, err := s.Model(victim)
 	if err != nil {
 		return Prediction{}, err
@@ -160,9 +170,9 @@ func (s *Set) PredictWith(m model.Smite, victim, aggressor string) (Prediction, 
 	if err != nil {
 		return Prediction{}, err
 	}
-	pred := Prediction{Degradation: m.Intercept}
+	pred := Prediction{Degradation: m.Intercept * x}
 	for d := range m.Coef {
-		sen, con := mv.Sen[d].At(1), ma.Con[d].At(1)
+		sen, con := mv.Sen[d].At(1), ma.Con[d].At(x)
 		es, ec := mv.Sen[d].MaxAbsErr, ma.Con[d].MaxAbsErr
 		pred.Degradation += m.Coef[d] * sen * con
 		pred.Bound += math.Abs(m.Coef[d]) * (math.Abs(sen)*ec + es*math.Abs(con) + es*ec)
