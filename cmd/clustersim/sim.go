@@ -147,8 +147,8 @@ func (o *simOptions) validate() error {
 		if o.driftFactor > 0 && !nonNegative(o.driftAt) {
 			return &FlagError{Flag: "drift-at", Value: fmt.Sprint(o.driftAt), Reason: "drift time must be non-negative and finite"}
 		}
-		if o.shards < 0 {
-			return &FlagError{Flag: "shards", Value: fmt.Sprint(o.shards), Reason: "shard count must be non-negative"}
+		if o.shards < 0 || o.shards > cluster.MaxShards {
+			return &FlagError{Flag: "shards", Value: fmt.Sprint(o.shards), Reason: fmt.Sprintf("shard count must be in [0, %d]", cluster.MaxShards)}
 		}
 	}
 	if o.parallelism < 0 {

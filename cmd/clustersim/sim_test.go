@@ -41,6 +41,7 @@ func TestSimFlagValidation(t *testing.T) {
 		{"NaN drift time", []string{"-drift-factor", "2", "-drift-at", "NaN"}, "drift-at"},
 		{"unknown policy", []string{"-policy", "greedy"}, "policy"},
 		{"negative shards", []string{"-shards", "-1"}, "shards"},
+		{"absurd shards", []string{"-shards", "100000000000", "-machines", "10", "-duration", "0.01"}, "shards"},
 		{"negative parallelism", []string{"-parallelism", "-2"}, "parallelism"},
 		{"replay negative parallelism", []string{"-replay", "x.trace", "-parallelism", "-1"}, "parallelism"},
 		{"malformed slo classes", []string{"-policy", "slo", "-slo-classes", "critical:bogus"}, "slo-classes"},

@@ -14,68 +14,46 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/service"
 	"repro/internal/xrand"
 )
 
-// Entry records the measured and predicted degradation of a latency
-// application co-located with a number of batch-application instances.
-type Entry struct {
-	Actual    float64
-	Predicted float64
-}
-
-// Table is the co-location degradation table driving a study: one Entry
-// per (latency app, batch app, instance count 1..MaxInstances).
+// Table is the measured co-location degradation table a study's QoS
+// surface is built from: the predicted and measured degradation of each
+// latency application co-located with 1..MaxInstances instances of each
+// batch application, stored densely in PredTable.Cell order.
 type Table struct {
 	LatencyApps  []string
 	BatchApps    []string
 	MaxInstances int
-	entries      map[string]Entry
+	// Predicted and Actual are indexed by Cell(lat, batch, n).
+	Predicted []float64
+	Actual    []float64
 }
 
-func tkey(lat, batch string, n int) string { return fmt.Sprintf("%s|%s|%d", lat, batch, n) }
-
-// NewTable builds an empty table.
+// NewTable builds a zeroed table with every cell present.
 func NewTable(latencyApps, batchApps []string, maxInstances int) *Table {
+	cells := len(latencyApps) * len(batchApps) * maxInstances
 	return &Table{
 		LatencyApps:  append([]string(nil), latencyApps...),
 		BatchApps:    append([]string(nil), batchApps...),
 		MaxInstances: maxInstances,
-		entries:      make(map[string]Entry),
+		Predicted:    make([]float64, cells),
+		Actual:       make([]float64, cells),
 	}
 }
 
-// Set stores the entry for (lat, batch, n).
-func (t *Table) Set(lat, batch string, n int, e Entry) {
-	t.entries[tkey(lat, batch, n)] = e
+// Cell flattens (lat index, batch index, instances 1..MaxInstances) into
+// the table's storage index, the same index PredTable.Cell gives.
+func (t *Table) Cell(lat, batch, n int) int {
+	return (lat*len(t.BatchApps)+batch)*t.MaxInstances + n - 1
 }
 
-// Get fetches the entry for (lat, batch, n); n == 0 returns zero
-// degradations.
-func (t *Table) Get(lat, batch string, n int) (Entry, error) {
-	if n == 0 {
-		return Entry{}, nil
-	}
-	e, ok := t.entries[tkey(lat, batch, n)]
-	if !ok {
-		return Entry{}, fmt.Errorf("cluster: no table entry for %s|%s|%d", lat, batch, n)
-	}
-	return e, nil
-}
-
-// Complete verifies every (lat, batch, 1..MaxInstances) entry is present.
-func (t *Table) Complete() error {
-	for _, l := range t.LatencyApps {
-		for _, b := range t.BatchApps {
-			for n := 1; n <= t.MaxInstances; n++ {
-				if _, err := t.Get(l, b, n); err != nil {
-					return err
-				}
-			}
-		}
+// validate rejects a table missing cells.
+func (t *Table) validate() error {
+	want := len(t.LatencyApps) * len(t.BatchApps) * t.MaxInstances
+	if len(t.Predicted) != want || len(t.Actual) != want {
+		return fmt.Errorf("cluster: degradation table has %d/%d cells, want %d", len(t.Predicted), len(t.Actual), want)
 	}
 	return nil
 }
@@ -152,11 +130,9 @@ func (k PolicyKind) String() string {
 
 // Study describes one scale-out experiment.
 type Study struct {
-	// Table holds the co-location degradations.
-	Table *Table
-	// Services supplies queueing parameters for tail-latency QoS, keyed by
-	// latency-application name (only needed for QoSTail).
-	Services map[string]service.Service
+	// Table is the QoS surface admission runs on (BuildPredTable); its QoS
+	// kind is the study's QoS definition.
+	Table *PredTable
 	// ServersPerApp is the number of servers dedicated to each latency
 	// application (1,000 in the paper, 4,000 servers total).
 	ServersPerApp int
@@ -199,10 +175,7 @@ type Result struct {
 }
 
 func (s *Study) validate() error {
-	if s.Table == nil {
-		return fmt.Errorf("cluster: study needs a table")
-	}
-	if err := s.Table.Complete(); err != nil {
+	if err := s.Table.Validate(); err != nil {
 		return err
 	}
 	if s.ServersPerApp <= 0 || s.ThreadsPerServer <= 0 || s.ContextsPerServer <= 0 {
@@ -217,96 +190,72 @@ func (s *Study) validate() error {
 	return nil
 }
 
-// qosOf maps a degradation to QoS under the study's definition.
-func (s *Study) qosOf(kind QoSKind, lat string, deg float64) (float64, error) {
-	return qosValue(kind, s.Services, lat, deg)
-}
-
-// server is one placement decision.
+// server is one placement decision: indices into the table's latency and
+// batch applications, and the admitted instance count.
 type server struct {
-	lat   string
-	batch string
-	n     int
+	lat, batch, n int
 }
 
 // Run executes the study for one policy at one QoS target.
-func (s *Study) Run(policy PolicyKind, qos QoSKind, target float64) (Result, error) {
+func (s *Study) Run(policy PolicyKind, target float64) (Result, error) {
 	if err := s.validate(); err != nil {
 		return Result{}, err
 	}
 	if target <= 0 || target > 1 {
 		return Result{}, fmt.Errorf("cluster: QoS target %.3f outside (0,1]", target)
 	}
+	if policy != PolicySMiTe && policy != PolicyOracle && policy != PolicyRandom {
+		return Result{}, fmt.Errorf("cluster: unknown policy %d", policy)
+	}
+	t := s.Table
 
 	// Deterministic batch-application arrival per server.
 	rng := xrand.New(s.Seed ^ 0xC1A5)
-	servers := make([]server, 0, len(s.Table.LatencyApps)*s.ServersPerApp)
-	for _, lat := range s.Table.LatencyApps {
+	servers := make([]server, 0, len(t.LatencyApps)*s.ServersPerApp)
+	for lat := range t.LatencyApps {
 		for i := 0; i < s.ServersPerApp; i++ {
-			b := s.Table.BatchApps[rng.Intn(len(s.Table.BatchApps))]
-			servers = append(servers, server{lat: lat, batch: b})
+			servers = append(servers, server{lat: lat, batch: rng.Intn(len(t.BatchApps))})
 		}
 	}
 
-	// Admission: the predictive policies choose the largest instance count
-	// whose (predicted or measured) QoS stays within target.
-	admit := func(sv *server, useActual bool) error {
-		best := 0
-		for n := 1; n <= s.Table.MaxInstances; n++ {
-			e, err := s.Table.Get(sv.lat, sv.batch, n)
-			if err != nil {
-				return err
-			}
-			d := e.Predicted
-			if useActual {
-				d = e.Actual
-			}
-			q, err := s.qosOf(qos, sv.lat, d)
-			if err != nil {
-				return err
-			}
-			if q >= target {
-				best = n
+	// Admission: each server takes the largest instance count whose QoS
+	// (predicted, or measured under Oracle) clears the floor. Random
+	// admits as SMiTe does, then deals the same multiset of instance
+	// counts to random servers, matching SMiTe's utilisation.
+	floor, _ := qosFloor(t, policy, target)
+	for i := range servers {
+		sv := &servers[i]
+		for n := 1; n <= t.MaxInstances; n++ {
+			if floor[t.Cell(sv.lat, sv.batch, n)] {
+				sv.n = n
 			}
 		}
-		sv.n = best
-		return nil
 	}
-
-	switch policy {
-	case PolicySMiTe, PolicyOracle:
-		for i := range servers {
-			if err := admit(&servers[i], policy == PolicyOracle); err != nil {
-				return Result{}, err
-			}
-		}
-	case PolicyRandom:
-		// Match SMiTe's utilisation: compute SMiTe's choices, then deal the
-		// same multiset of instance counts to random servers.
+	if policy == PolicyRandom {
 		counts := make([]int, len(servers))
 		for i := range servers {
-			if err := admit(&servers[i], false); err != nil {
-				return Result{}, err
-			}
 			counts[i] = servers[i].n
 		}
 		perm := rng.Perm(len(counts))
 		for i := range servers {
 			servers[i].n = counts[perm[i]]
 		}
-	default:
-		return Result{}, fmt.Errorf("cluster: unknown policy %d", policy)
 	}
-
-	return s.score(policy, qos, target, servers)
+	measured, slack := qosFloor(t, PolicyOracle, target)
+	return s.score(policy, target, servers, measured, slack), nil
 }
 
-func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []server) (Result, error) {
+// score tallies utilisation and violations. A co-location violates
+// exactly when the measured QoS floor rejects its cell, that is when
+// Oracle would not have admitted it; its magnitude is the measured
+// shortfall (target − actual)/target.
+func (s *Study) score(policy PolicyKind, target float64, servers []server, measured []bool, slack []float64) Result {
+	t := s.Table
 	res := Result{
-		Policy: policy, QoS: qos, Target: target,
-		PerApp: make(map[string]float64),
+		Policy: policy, QoS: t.QoS, Target: target,
+		PerApp: make(map[string]float64, len(t.LatencyApps)),
 	}
-	perAppInstances := make(map[string]int)
+	perAppInstances := make([]int, len(t.LatencyApps))
 	total := 0
 	violations := 0
 	var violSum, violMax float64
@@ -317,17 +266,9 @@ func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []
 			continue
 		}
 		res.ColocatedServers++
-		e, err := s.Table.Get(sv.lat, sv.batch, sv.n)
-		if err != nil {
-			return Result{}, err
-		}
-		q, err := s.qosOf(qos, sv.lat, e.Actual)
-		if err != nil {
-			return Result{}, err
-		}
-		if q < target {
+		if cell := t.Cell(sv.lat, sv.batch, sv.n); !measured[cell] {
 			violations++
-			m := (target - q) / target
+			m := -slack[cell] / target
 			violSum += m
 			if m > violMax {
 				violMax = m
@@ -340,8 +281,8 @@ func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []
 	res.Utilization = (busyBase + float64(total)) / float64(s.ContextsPerServer*nServers)
 	res.UtilizationGain = float64(total) / busyBase
 	res.MeanInstances = float64(total) / float64(nServers)
-	for app, n := range perAppInstances {
-		res.PerApp[app] = float64(n) / float64(s.ThreadsPerServer*s.ServersPerApp)
+	for lat, n := range perAppInstances {
+		res.PerApp[t.LatencyApps[lat]] = float64(n) / float64(s.ThreadsPerServer*s.ServersPerApp)
 	}
 	if res.ColocatedServers > 0 {
 		res.ViolationFrac = float64(violations) / float64(res.ColocatedServers)
@@ -350,23 +291,5 @@ func (s *Study) score(policy PolicyKind, qos QoSKind, target float64, servers []
 		}
 	}
 	res.ViolationMax = violMax
-	return res, nil
-}
-
-// BatchAbsorbed returns how many dedicated batch servers the co-located
-// instances replace, assuming a dedicated batch server runs one instance
-// per core (ThreadsPerServer instances).
-func (s *Study) BatchAbsorbed(r Result) float64 {
-	totalInstances := r.MeanInstances * float64(len(s.Table.LatencyApps)*s.ServersPerApp)
-	return totalInstances / float64(s.ThreadsPerServer)
-}
-
-// SortedApps returns the per-app keys of a result in stable order.
-func (r Result) SortedApps() []string {
-	out := make([]string, 0, len(r.PerApp))
-	for a := range r.PerApp {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	return res
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/service"
@@ -10,16 +11,17 @@ import (
 // latency app "svc" with batch apps "quiet" (1% per instance) and "noisy"
 // (12% per instance), predictions biased slightly low for "noisy" so that
 // violations are observable.
-func syntheticStudy(t *testing.T, predBias float64) *Study {
+func syntheticStudy(t *testing.T, predBias float64, qos QoSKind) *Study {
 	t.Helper()
 	tbl := NewTable([]string{"svc"}, []string{"quiet", "noisy"}, 6)
 	for n := 1; n <= 6; n++ {
-		tbl.Set("svc", "quiet", n, Entry{Actual: 0.01 * float64(n), Predicted: 0.01 * float64(n)})
-		tbl.Set("svc", "noisy", n, Entry{Actual: 0.12 * float64(n), Predicted: (0.12 - predBias) * float64(n)})
+		quiet, noisy := tbl.Cell(0, 0, n), tbl.Cell(0, 1, n)
+		tbl.Actual[quiet], tbl.Predicted[quiet] = 0.01*float64(n), 0.01*float64(n)
+		tbl.Actual[noisy], tbl.Predicted[noisy] = 0.12*float64(n), (0.12-predBias)*float64(n)
 	}
+	services := map[string]service.Service{"svc": {Name: "svc", Mu: 1000, Lambda: 500, QoSPercentile: 0.9, ReportsPercentile: true}}
 	return &Study{
-		Table:             tbl,
-		Services:          map[string]service.Service{"svc": {Name: "svc", Mu: 1000, Lambda: 500, QoSPercentile: 0.9, ReportsPercentile: true}},
+		Table:             studyTable(t, tbl, services, qos),
 		ServersPerApp:     500,
 		ThreadsPerServer:  6,
 		ContextsPerServer: 12,
@@ -27,9 +29,19 @@ func syntheticStudy(t *testing.T, predBias float64) *Study {
 	}
 }
 
+// studyTable builds a study's QoS surface from tbl's own predictions.
+func studyTable(t *testing.T, tbl *Table, services map[string]service.Service, qos QoSKind) *PredTable {
+	t.Helper()
+	pt, err := BuildPredTable(context.Background(), tbl, services, qos, &TablePredictor{Table: tbl}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
+}
+
 func TestSMiTeAdmitsUpToTarget(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0, QoSAvg)
+	r, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +65,8 @@ func TestSMiTeAdmitsUpToTarget(t *testing.T) {
 }
 
 func TestOracleNeverViolates(t *testing.T) {
-	s := syntheticStudy(t, 0.05) // predictions underestimate noisy by 5%/instance
-	r, err := s.Run(PolicyOracle, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.05, QoSAvg) // predictions underestimate noisy by 5%/instance
+	r, err := s.Run(PolicyOracle, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +76,8 @@ func TestOracleNeverViolates(t *testing.T) {
 }
 
 func TestBiasedPredictionsCauseViolations(t *testing.T) {
-	s := syntheticStudy(t, 0.05)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.05, QoSAvg)
+	r, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +92,12 @@ func TestBiasedPredictionsCauseViolations(t *testing.T) {
 }
 
 func TestRandomMatchesSMiTeUtilization(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	sm, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0, QoSAvg)
+	sm, err := s.Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := s.Run(PolicyRandom, QoSAvg, 0.90)
+	rd, err := s.Run(PolicyRandom, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +112,11 @@ func TestRandomMatchesSMiTeUtilization(t *testing.T) {
 }
 
 func TestTailQoSAdmitsLess(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	avg, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
+	avg, err := syntheticStudy(t, 0, QoSAvg).Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := s.Run(PolicySMiTe, QoSTail, 0.90)
+	tail, err := syntheticStudy(t, 0, QoSTail).Run(PolicySMiTe, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +127,10 @@ func TestTailQoSAdmitsLess(t *testing.T) {
 }
 
 func TestUtilizationGainMonotoneInTarget(t *testing.T) {
-	s := syntheticStudy(t, 0)
+	s := syntheticStudy(t, 0, QoSAvg)
 	prev := -1.0
 	for _, target := range []float64{0.95, 0.90, 0.85} {
-		r, err := s.Run(PolicySMiTe, QoSAvg, target)
+		r, err := s.Run(PolicySMiTe, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,63 +142,74 @@ func TestUtilizationGainMonotoneInTarget(t *testing.T) {
 }
 
 func TestStudyValidation(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 0); err == nil {
+	s := syntheticStudy(t, 0, QoSAvg)
+	if _, err := s.Run(PolicySMiTe, 0); err == nil {
 		t.Error("target 0 accepted")
 	}
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 1.5); err == nil {
+	if _, err := s.Run(PolicySMiTe, 1.5); err == nil {
 		t.Error("target > 1 accepted")
 	}
-	s.Table = NewTable([]string{"svc"}, []string{"x"}, 2) // incomplete
-	if _, err := s.Run(PolicySMiTe, QoSAvg, 0.9); err == nil {
-		t.Error("incomplete table accepted")
+	if _, err := s.Run(PolicyKind(99), 0.9); err == nil {
+		t.Error("unknown policy accepted")
 	}
-	s2 := syntheticStudy(t, 0)
+	s.Table = &PredTable{LatencyApps: []string{"svc"}, BatchApps: []string{"x"}, MaxInstances: 2} // no cells
+	if _, err := s.Run(PolicySMiTe, 0.9); err == nil {
+		t.Error("incomplete surface accepted")
+	}
+	s.Table = nil
+	if _, err := s.Run(PolicySMiTe, 0.9); err == nil {
+		t.Error("missing surface accepted")
+	}
+	s2 := syntheticStudy(t, 0, QoSAvg)
 	s2.ThreadsPerServer = 20
-	if _, err := s2.Run(PolicySMiTe, QoSAvg, 0.9); err == nil {
+	if _, err := s2.Run(PolicySMiTe, 0.9); err == nil {
 		t.Error("threads > contexts accepted")
 	}
-	s3 := syntheticStudy(t, 0)
-	s3.Services = nil
-	if _, err := s3.Run(PolicySMiTe, QoSTail, 0.9); err == nil {
+}
+
+// BuildPredTable is where a study's inputs are checked: a degradation
+// table missing cells, a missing predictor, and tail QoS without the
+// services' queueing parameters are all rejected there.
+func TestBuildPredTableValidation(t *testing.T) {
+	ctx := context.Background()
+	short := &Table{LatencyApps: []string{"svc"}, BatchApps: []string{"x"}, MaxInstances: 2, Predicted: []float64{0.1}, Actual: []float64{0.1}}
+	if _, err := BuildPredTable(ctx, short, nil, QoSAvg, &TablePredictor{Table: short}, 1); err == nil {
+		t.Error("incomplete table accepted")
+	}
+	tbl := NewTable([]string{"svc"}, []string{"x"}, 2)
+	if _, err := BuildPredTable(ctx, tbl, nil, QoSAvg, nil, 1); err == nil {
+		t.Error("nil predictor accepted")
+	}
+	if _, err := BuildPredTable(ctx, tbl, nil, QoSTail, &TablePredictor{Table: tbl}, 1); err == nil {
 		t.Error("tail QoS without services accepted")
 	}
 }
 
-func TestTableGet(t *testing.T) {
-	tbl := NewTable([]string{"a"}, []string{"b"}, 2)
-	if _, err := tbl.Get("a", "b", 1); err == nil {
-		t.Error("missing entry accepted")
+// TestTablePredictor checks name resolution onto the dense cells.
+func TestTablePredictor(t *testing.T) {
+	tbl := NewTable([]string{"a", "b"}, []string{"x", "y"}, 2)
+	tbl.Predicted[tbl.Cell(1, 0, 2)] = 0.2
+	p := &TablePredictor{Table: tbl}
+	if got, err := p.Predict("b", "x", 2); err != nil || got.Deg != 0.2 || got.Tier != TierTable {
+		t.Errorf("Predict(b, x, 2) = %+v, %v; want deg 0.2 from the table tier", got, err)
 	}
-	if e, err := tbl.Get("a", "b", 0); err != nil || e != (Entry{}) {
-		t.Error("zero instances should be free")
-	}
-	tbl.Set("a", "b", 1, Entry{Actual: 0.1, Predicted: 0.2})
-	if e, err := tbl.Get("a", "b", 1); err != nil || e.Actual != 0.1 {
-		t.Error("set/get round trip failed")
-	}
-}
-
-func TestBatchAbsorbed(t *testing.T) {
-	s := syntheticStudy(t, 0)
-	r, err := s.Run(PolicySMiTe, QoSAvg, 0.90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	absorbed := s.BatchAbsorbed(r)
-	wantTotal := r.MeanInstances * 500 / 6
-	if absorbed != wantTotal {
-		t.Errorf("absorbed %.1f, want %.1f", absorbed, wantTotal)
+	for _, bad := range []struct {
+		lat, batch string
+		n          int
+	}{{"c", "x", 1}, {"a", "z", 1}, {"a", "x", 0}, {"a", "x", 3}} {
+		if _, err := p.Predict(bad.lat, bad.batch, bad.n); err == nil {
+			t.Errorf("Predict(%s, %s, %d) accepted", bad.lat, bad.batch, bad.n)
+		}
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	s := syntheticStudy(t, 0.02)
-	a, err := s.Run(PolicyRandom, QoSAvg, 0.90)
+	s := syntheticStudy(t, 0.02, QoSAvg)
+	a, err := s.Run(PolicyRandom, 0.90)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := s.Run(PolicyRandom, QoSAvg, 0.90)
+	b, _ := s.Run(PolicyRandom, 0.90)
 	if a.ViolationFrac != b.ViolationFrac || a.MeanInstances != b.MeanInstances {
 		t.Error("study not deterministic")
 	}

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/service"
 )
 
 var update = flag.Bool("update", false, "rewrite golden fixtures")
@@ -26,8 +28,8 @@ type goldenRun struct {
 	Head    []Placement `json:"head"`
 }
 
-func goldenConfig(t *testing.T) SimConfig {
-	cfg := synthSimConfig(t, 100, 2, 97)
+func goldenConfig(tb testing.TB) SimConfig {
+	cfg := synthSimConfig(tb, 100, 2, 97)
 	cfg.Workload.ArrivalRate = 3600
 	cfg.Workload.MeanDuration = 0.05
 	cfg.Workload.Churn = 0.05
@@ -72,7 +74,7 @@ func TestGoldenClusterSim(t *testing.T) {
 
 // checkGolden compares got against the named fixture, or rewrites the
 // fixture under -update.
-func checkGolden(t *testing.T, name string, got goldenRun) {
+func checkGolden[T any](t *testing.T, name string, got T) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
@@ -93,7 +95,7 @@ func checkGolden(t *testing.T, name string, got goldenRun) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to generate)", err)
 	}
-	var want goldenRun
+	var want T
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -188,4 +190,33 @@ func TestGoldenDegenerateSim(t *testing.T) {
 		Head:    res.Log[:0],
 	}
 	checkGolden(t, "golden_cluster_degenerate.json", got)
+}
+
+// TestStudyGolden pins the static scale-out study's numbers: the full
+// Result of every policy × QoS definition × paper target on a seeded
+// synthetic table, with fixed queueing parameters spanning light to heavy
+// load so tail QoS admits unevenly across the latency apps.
+func TestStudyGolden(t *testing.T) {
+	_, tbl, err := SyntheticWorld(4, 6, 6, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	services := make(map[string]service.Service)
+	for i, lat := range tbl.LatencyApps {
+		services[lat] = service.Service{Name: lat, Mu: 1000, Lambda: 100 + 150*float64(i), QoSPercentile: 0.9, ReportsPercentile: true}
+	}
+	var got []Result
+	for _, qos := range []QoSKind{QoSAvg, QoSTail} {
+		s := &Study{Table: studyTable(t, tbl, services, qos), ServersPerApp: 250, ThreadsPerServer: 6, ContextsPerServer: 12, Seed: 7}
+		for _, target := range []float64{0.95, 0.90, 0.85} {
+			for _, pol := range []PolicyKind{PolicySMiTe, PolicyOracle, PolicyRandom} {
+				r, err := s.Run(pol, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, r)
+			}
+		}
+	}
+	checkGolden(t, "golden_study.json", got)
 }

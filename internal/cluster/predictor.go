@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/surrogate"
@@ -60,14 +61,15 @@ type TablePredictor struct {
 	Table *Table
 }
 
-// Predict implements Predictor; table answers are the measured surface,
-// so the bound is zero.
+// Predict implements Predictor by resolving the names to the table's
+// cell; table answers are the measured surface, so the bound is zero.
 func (p *TablePredictor) Predict(lat, batch string, n int) (Prediction, error) {
-	e, err := p.Table.Get(lat, batch, n)
-	if err != nil {
-		return Prediction{}, err
+	t := p.Table
+	l, b := slices.Index(t.LatencyApps, lat), slices.Index(t.BatchApps, batch)
+	if l < 0 || b < 0 || n < 1 || n > t.MaxInstances {
+		return Prediction{}, fmt.Errorf("cluster: no table entry for %s|%s|%d", lat, batch, n)
 	}
-	return Prediction{Deg: e.Predicted, Tier: TierTable}, nil
+	return Prediction{Deg: t.Predicted[t.Cell(l, b, n)], Tier: TierTable}, nil
 }
 
 // SurrogatePredictor adapts a fitted surrogate.Set with an embedded

@@ -87,19 +87,38 @@ func (t *PredTable) HasDegradations() bool {
 	return len(t.PredDeg) == want && len(t.ActualDeg) == want && len(t.PredBound) == want
 }
 
+// qosFloor builds the QoS-floor admission surface: a cell is admissible
+// when its QoS (measured under Oracle, predicted under any other policy)
+// reaches target, and its slack is the margin q − target. Both scale-out
+// front ends, the static Study and the simulator's shards, admit through
+// it.
+func qosFloor(t *PredTable, policy PolicyKind, target float64) (admit []bool, slack []float64) {
+	qos := t.PredQoS
+	if policy == PolicyOracle {
+		qos = t.ActualQoS
+	}
+	admit = make([]bool, len(qos))
+	slack = make([]float64, len(qos))
+	for i, q := range qos {
+		admit[i] = q >= target
+		slack[i] = q - target
+	}
+	return admit, slack
+}
+
 // BuildPredTable precomputes the QoS surface for every
 // (latency, batch, 1..MaxInstances) cell of tbl under the given QoS
-// definition. Predicted degradations come from pred when non-nil — the
-// Predictor seam, typically the microsecond surrogate tier with the
-// engine-measured table as fallback — and from the table's own Predicted
-// entries otherwise; measured degradations always come from the table.
-// Cells fan out across workers via sched.Map, so the build is
-// bit-identical at any worker count.
+// definition; it is the one place degradations become QoS. Predicted
+// degradations come from pred — the Predictor seam: the table's own
+// Predicted entries through a TablePredictor, or the microsecond
+// surrogate tier with the measured table as fallback — and measured
+// degradations from the table. Cells fan out across workers via
+// sched.Map, so the build is bit-identical at any worker count.
 func BuildPredTable(ctx context.Context, tbl *Table, services map[string]service.Service, qos QoSKind, pred Predictor, workers int) (*PredTable, error) {
-	if tbl == nil {
-		return nil, fmt.Errorf("cluster: BuildPredTable needs a table")
+	if tbl == nil || pred == nil {
+		return nil, fmt.Errorf("cluster: BuildPredTable needs a table and a predictor")
 	}
-	if err := tbl.Complete(); err != nil {
+	if err := tbl.validate(); err != nil {
 		return nil, err
 	}
 	out := &PredTable{
@@ -118,24 +137,16 @@ func BuildPredTable(ctx context.Context, tbl *Table, services map[string]service
 		n := i%out.MaxInstances + 1
 		b := (i / out.MaxInstances) % len(out.BatchApps)
 		l := i / (out.MaxInstances * len(out.BatchApps))
-		lat, batch := out.LatencyApps[l], out.BatchApps[b]
-		e, err := tbl.Get(lat, batch, n)
+		lat := out.LatencyApps[l]
+		p, err := pred.Predict(lat, out.BatchApps[b], n)
 		if err != nil {
 			return err
 		}
-		dp, bound := e.Predicted, 0.0
-		if pred != nil {
-			p, err := pred.Predict(lat, batch, n)
-			if err != nil {
-				return err
-			}
-			dp, bound = p.Deg, p.Bound
-		}
-		out.PredDeg[i], out.ActualDeg[i], out.PredBound[i] = dp, e.Actual, bound
-		if out.PredQoS[i], err = qosValue(qos, services, lat, dp); err != nil {
+		out.PredDeg[i], out.ActualDeg[i], out.PredBound[i] = p.Deg, tbl.Actual[i], p.Bound
+		if out.PredQoS[i], err = qosValue(qos, services, lat, p.Deg); err != nil {
 			return err
 		}
-		out.ActualQoS[i], err = qosValue(qos, services, lat, e.Actual)
+		out.ActualQoS[i], err = qosValue(qos, services, lat, tbl.Actual[i])
 		return err
 	})
 	if err != nil {

@@ -36,6 +36,11 @@ import (
 // fragmenting small fleets.
 const DefaultShards = 16
 
+// MaxShards bounds SimConfig.Shards. Every shard allocates its event
+// streams and placement buckets up front, so an absurd count from a flag
+// or a trace header would exhaust memory before the first event.
+const MaxShards = 1024
+
 // SimConfig parameterises one discrete-event cluster run. The workload
 // config carries the fleet size, horizon, seed and application-population
 // dimensions; the prediction table carries the QoS surface placements are
@@ -120,8 +125,8 @@ func (c SimConfig) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cluster: sim shards must be non-negative, got %d", c.Shards)
+	if c.Shards < 0 || c.Shards > MaxShards {
+		return fmt.Errorf("cluster: sim shards must be in [0,%d], got %d", MaxShards, c.Shards)
 	}
 	switch c.Policy {
 	case PolicySMiTe, PolicyOracle, PolicyRandom, PolicySLO, PolicyClosedLoop, PolicyIsolation:
@@ -851,17 +856,7 @@ func runShard(ctx context.Context, cfg *SimConfig, w *simWorld, shard int, exo [
 		s.qfAdmit = make([][]bool, s.nGens)
 		s.qfSlack = make([][]float64, s.nGens)
 		for gi, t := range s.tables {
-			qos := t.PredQoS
-			if cfg.Policy == PolicyOracle {
-				qos = t.ActualQoS
-			}
-			ad := make([]bool, len(qos))
-			sl := make([]float64, len(qos))
-			for i, q := range qos {
-				ad[i] = q >= cfg.Target
-				sl[i] = q - cfg.Target
-			}
-			s.qfAdmit[gi], s.qfSlack[gi] = ad, sl
+			s.qfAdmit[gi], s.qfSlack[gi] = qosFloor(t, cfg.Policy, cfg.Target)
 		}
 	}
 	s.buckets = make([]*iheap, s.nGens*s.nLevels*nLat*(nBatch+1)*(s.maxInst+1))

@@ -75,16 +75,16 @@ func SyntheticWorld(nLat, nBatch, maxInstances int, seed uint64) (*surrogate.Set
 	// genuinely differ, as on real hardware.
 	tbl := NewTable(lats, batches, maxInstances)
 	sp := &SurrogatePredictor{Set: set, Capacity: maxInstances}
-	for _, lat := range lats {
-		for _, b := range batches {
+	for l, lat := range lats {
+		for b, batch := range batches {
 			for n := 1; n <= maxInstances; n++ {
-				base, err := sp.Predict(lat, b, n)
+				base, err := sp.Predict(lat, batch, n)
 				if err != nil {
 					return nil, nil, err
 				}
-				actual := clamp01(base.Deg + 0.01*rng.Norm())
-				predicted := clamp01(actual + 0.005*rng.Norm())
-				tbl.Set(lat, b, n, Entry{Actual: actual, Predicted: predicted})
+				i := tbl.Cell(l, b, n)
+				tbl.Actual[i] = clamp01(base.Deg + 0.01*rng.Norm())
+				tbl.Predicted[i] = clamp01(tbl.Actual[i] + 0.005*rng.Norm())
 			}
 		}
 	}

@@ -115,6 +115,8 @@ func TestTraceCorruptRejected(t *testing.T) {
 		"negative time":          edit(1, func(ev *clworkload.Event) { ev.At = -1 }),
 		"time goes backwards":    edit(2, func(ev *clworkload.Event) { ev.At = first.At / 2 }),
 		"seq repeats":            edit(2, func(ev *clworkload.Event) { ev.Seq = first.Seq }),
+		// Unchecked, the shard slice allocation exhausts memory.
+		"absurd shard count": shardBombTrace(t, lines[0]),
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -124,6 +126,22 @@ func TestTraceCorruptRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shardBombTrace rewrites a trace header to claim 1e11 shards and no
+// events.
+func shardBombTrace(t testing.TB, header string) string {
+	t.Helper()
+	var hdr traceHeader
+	if err := json.Unmarshal([]byte(header), &hdr); err != nil {
+		t.Fatal(err)
+	}
+	hdr.Config.Shards, hdr.Events = 100_000_000_000, 0
+	b, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }
 
 // TestTraceDegenerateRoundTrip pins the header-only edge: a trace of a
@@ -176,4 +194,52 @@ func TestTraceDegenerateRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadTrace holds the trace decoder to its contract on arbitrary
+// bytes: it either rejects the input with a typed error (ErrTraceCorrupt
+// or ErrTraceVersion) or returns a config and event streams that
+// re-encode through WriteTrace and decode back to the same trace. It never panics and
+// never allocates by a header's say-so.
+func FuzzReadTrace(f *testing.F) {
+	// The golden run cut to a few hundred events: the fuzzer minimizes
+	// every input that finds new coverage, which a 600 KB seed stalls.
+	cfg := goldenConfig(f)
+	cfg.Workload.Horizon = 0.05
+	events, err := GenerateEvents(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var rec bytes.Buffer
+	if err := WriteTrace(&rec, cfg, events); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.Bytes())
+	header, _, _ := strings.Cut(rec.String(), "\n")
+	f.Add([]byte(shardBombTrace(f, header)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, shards, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrTraceCorrupt) && !errors.Is(err, ErrTraceVersion) {
+				t.Fatalf("ReadTrace error is untyped: %v", err)
+			}
+			return
+		}
+		// Compare encodings: JSON does not tell an empty optional slice
+		// (a trace's "pred_deg":[]) from an absent one.
+		var once, twice bytes.Buffer
+		if err := WriteTrace(&once, cfg, shards); err != nil {
+			t.Fatalf("accepted trace does not re-encode: %v", err)
+		}
+		cfg2, shards2, err := ReadTrace(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		if err := WriteTrace(&twice, cfg2, shards2); err != nil {
+			t.Fatalf("decoded re-encoding does not encode: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("re-encoded trace decodes to a different run")
+		}
+	})
 }

@@ -412,16 +412,30 @@ func (r Fig12Result) String() string {
 }
 
 // clusterTable exports the SMT cloud study as the degradation table the
-// scale-out experiments consume.
-func (l *Lab) clusterTable(ctx context.Context) (*cluster.Table, map[string]service.Service, error) {
+// scale-out experiments consume. Tail-latency QoS keeps only the services
+// that report percentile latency (Web-Search, Data-Caching).
+func (l *Lab) clusterTable(ctx context.Context, qos cluster.QoSKind) (*cluster.Table, map[string]service.Service, error) {
 	cs, err := l.cloudStudyData(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	entries := cs.placementTables[profile.SMT]
-	tbl := cluster.NewTable(cs.latApps, cs.batchApps, cs.maxInstances[profile.SMT])
-	for _, e := range entries {
-		tbl.Set(e.lat, e.batch, e.n, cluster.Entry{Actual: e.actual, Predicted: e.predicted})
+	keep := func(lat string) bool { return qos != cluster.QoSTail || cs.services[lat].ReportsPercentile }
+	tbl := &cluster.Table{BatchApps: cs.batchApps, MaxInstances: cs.maxInstances[profile.SMT]}
+	for _, lat := range cs.latApps {
+		if keep(lat) {
+			tbl.LatencyApps = append(tbl.LatencyApps, lat)
+		}
+	}
+	if len(tbl.LatencyApps) == 0 {
+		return nil, nil, fmt.Errorf("experiments: no percentile-reporting services in the study")
+	}
+	// The study measured its entries latency app, then batch app, then
+	// instance count: Table.Cell order.
+	for _, e := range cs.placementTables[profile.SMT] {
+		if keep(e.lat) {
+			tbl.Predicted = append(tbl.Predicted, e.predicted)
+			tbl.Actual = append(tbl.Actual, e.actual)
+		}
 	}
 	return tbl, cs.services, nil
 }

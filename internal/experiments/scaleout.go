@@ -40,39 +40,17 @@ func (l *Lab) Fig16And17TailQoSContext(ctx context.Context) (ScaleOutResult, err
 // measurements abort mid-simulation when ctx is cancelled, and the policy
 // sweep checks ctx between cells.
 func (l *Lab) scaleOut(ctx context.Context, qos cluster.QoSKind) (ScaleOutResult, error) {
-	tbl, services, err := l.clusterTable(ctx)
+	tbl, services, err := l.clusterTable(ctx, qos)
 	if err != nil {
 		return ScaleOutResult{}, err
 	}
-	if qos == cluster.QoSTail {
-		// Restrict to percentile-reporting services (Web-Search,
-		// Data-Caching).
-		var keep []string
-		for _, lat := range tbl.LatencyApps {
-			if svc, ok := services[lat]; ok && svc.ReportsPercentile {
-				keep = append(keep, lat)
-			}
-		}
-		if len(keep) == 0 {
-			return ScaleOutResult{}, fmt.Errorf("experiments: no percentile-reporting services in the study")
-		}
-		sub := cluster.NewTable(keep, tbl.BatchApps, tbl.MaxInstances)
-		for _, lat := range keep {
-			for _, b := range tbl.BatchApps {
-				for n := 1; n <= tbl.MaxInstances; n++ {
-					e, err := tbl.Get(lat, b, n)
-					if err != nil {
-						return ScaleOutResult{}, err
-					}
-					sub.Set(lat, b, n, e)
-				}
-			}
-		}
-		tbl = sub
+	// A few hundred cells of arithmetic: one worker is enough.
+	pt, err := cluster.BuildPredTable(ctx, tbl, services, qos, &cluster.TablePredictor{Table: tbl}, 1)
+	if err != nil {
+		return ScaleOutResult{}, err
 	}
 	study := &cluster.Study{
-		Table:             tbl,
-		Services:          services,
+		Table:             pt,
 		ServersPerApp:     l.Scale.ServersPerApp,
 		ThreadsPerServer:  l.cloudThreads(),
 		ContextsPerServer: l.SNB.Contexts(),
@@ -89,7 +67,7 @@ func (l *Lab) scaleOut(ctx context.Context, qos cluster.QoSKind) (ScaleOutResult
 			if err := ctx.Err(); err != nil {
 				return ScaleOutResult{}, err
 			}
-			r, err := study.Run(pol, qos, target)
+			r, err := study.Run(pol, target)
 			if err != nil {
 				return ScaleOutResult{}, err
 			}
@@ -164,10 +142,7 @@ func (l *Lab) Fig18TCOContext(ctx context.Context) (Fig18Result, error) {
 	}
 	out := Fig18Result{Params: params}
 	add := func(res ScaleOutResult) {
-		nLatApps := 0
-		for range res.Cells[res.Targets[0]][cluster.PolicySMiTe].PerApp {
-			nLatApps++
-		}
+		nLatApps := len(res.Cells[res.Targets[0]][cluster.PolicySMiTe].PerApp)
 		latServers := float64(nLatApps * l.Scale.ServersPerApp)
 		for _, target := range res.Targets {
 			sm := res.Cells[target][cluster.PolicySMiTe]
