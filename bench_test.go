@@ -433,7 +433,7 @@ func BenchmarkAblationStreamPrefetcher(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := profile.Solo(cfg, profile.App(spec), profile.FastOptions())
+		res, err := profile.SoloContext(context.Background(), cfg, profile.App(spec), profile.FastOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -468,7 +468,7 @@ func BenchmarkAblationL3Replacement(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := profile.NewProfiler(cfg, profile.FastOptions())
-		pm, err := p.MeasurePair(a, bb, profile.SMT)
+		pm, err := p.MeasurePairContext(context.Background(), a, bb, profile.SMT)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -506,7 +506,7 @@ func BenchmarkCheckerOverhead(b *testing.B) {
 			opts := profile.FastOptions()
 			opts.Check = mode.check
 			for i := 0; i < b.N; i++ {
-				res, err := profile.Colocate(cfg, profile.App(namd), profile.App(mcf), profile.SMT, opts)
+				res, err := profile.ColocateContext(context.Background(), cfg, profile.App(namd), profile.App(mcf), profile.SMT, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

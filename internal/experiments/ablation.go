@@ -37,11 +37,11 @@ func (l *Lab) ModelAblationContext(ctx context.Context) (AblationResult, error) 
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())
 	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, all, fmt.Sprintf("spec-%d", len(all)))
+	p := l.Profiler(IvyBridge)
+	chars, err := p.CharacterizeAllContext(ctx, all, profile.SMT)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	p := l.Profiler(IvyBridge)
 	trainPairs, err := p.MeasurePairsContext(ctx, train, train, profile.SMT)
 	if err != nil {
 		return AblationResult{}, err

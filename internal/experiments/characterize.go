@@ -12,10 +12,9 @@ import (
 )
 
 // allAppsSet returns the full characterization population (SPEC +
-// CloudSuite, truncated per scale) and a cache key name for it.
-func (l *Lab) allAppsSet() ([]*workload.Spec, string) {
-	set := append(l.specSet(workload.SPECCPU2006()), l.cloudSet()...)
-	return set, fmt.Sprintf("all-%d", len(set))
+// CloudSuite, truncated per scale).
+func (l *Lab) allAppsSet() []*workload.Spec {
+	return append(l.specSet(workload.SPECCPU2006()), l.cloudSet()...)
 }
 
 // SenConResult is the characterization matrix behind Figures 2, 4 and 6:
@@ -71,8 +70,7 @@ func (l *Lab) Fig6SummaryContext(ctx context.Context) (SenConResult, error) {
 }
 
 func (l *Lab) characterizeAllApps(ctx context.Context) ([]profile.Characterization, error) {
-	set, name := l.allAppsSet()
-	return l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set, name)
+	return l.Profiler(SandyBridgeEN).CharacterizeAllContext(ctx, l.allAppsSet(), profile.SMT)
 }
 
 // String renders the matrix.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/model"
@@ -34,11 +33,11 @@ func (l *Lab) CrossMachineContext(ctx context.Context) (CrossMachineResult, erro
 	all := append(append([]*workload.Spec{}, train...), test...)
 
 	build := func(m Machine) (trainObs, testObs []model.PairObs, err error) {
-		chars, err := l.CharacterizationsContext(ctx, m, profile.SMT, all, fmt.Sprintf("spec-%d", len(all)))
+		p := l.Profiler(m)
+		chars, err := p.CharacterizeAllContext(ctx, all, profile.SMT)
 		if err != nil {
 			return nil, nil, err
 		}
-		p := l.Profiler(m)
 		trainPairs, err := p.MeasurePairsContext(ctx, train, train, profile.SMT)
 		if err != nil {
 			return nil, nil, err

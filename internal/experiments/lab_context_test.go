@@ -3,55 +3,56 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
-// A pre-cancelled context never starts the characterization fan-out.
-func TestCharacterizationsContextPreCancelled(t *testing.T) {
+// A pre-cancelled context never starts a simulation.
+func TestLabCharacterizePreCancelled(t *testing.T) {
 	l := NewLab(tinyLabScale())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	set := l.specSet(workload.SPECCPU2006())[:2]
-	if _, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set, "pre-cancel"); !errors.Is(err, context.Canceled) {
+	if _, err := l.Profiler(IvyBridge).CharacterizeAllContext(ctx, set, profile.SMT); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if n := l.charRuns.Load(); n != 0 {
-		t.Fatalf("pre-cancelled call ran %d fan-outs", n)
+	if n := l.CacheStats().Misses; n != 0 {
+		t.Fatalf("pre-cancelled call simulated %d runs", n)
 	}
 }
 
-// A deadline far shorter than the sweep's wall-clock must abort the
-// in-flight simulations, and a retry with a live context must succeed
-// (the failed flight is not cached).
-func TestCharacterizationsContextCancelsAndRetries(t *testing.T) {
+// A characterization cancelled part-way through must fail with the
+// context's error, and a retry on the same Lab must succeed with the
+// result a fresh Lab computes: the simulation cache keeps no failed run.
+func TestLabCharacterizeCancelsAndRetries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization fan-out in short mode")
 	}
-	scale := tinyLabScale()
-	scale.Options.WarmupCycles = 10_000_000
-	scale.Options.MeasureCycles = 50_000_000
-	l := NewLab(scale)
-	set := l.specSet(workload.SPECCPU2006())[:1]
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err := l.CharacterizationsContext(ctx, IvyBridge, profile.SMT, set, "cancel-retry")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want context.DeadlineExceeded", err)
-	}
+	var once sync.Once
+	scale := tinyLabScale()
+	scale.Options.Parallelism = 2
+	scale.Options.Progress = func(done, total int) { once.Do(cancel) }
+	l := NewLab(scale)
+	set := l.specSet(workload.SPECCPU2006())[:2]
 
-	// The retry must not inherit the dead flight. Shrink the windows so it
-	// finishes quickly; the memo key ignores options, but the failed entry
-	// must have been removed.
-	l2 := NewLab(tinyLabScale())
-	if _, err := l2.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, l2.specSet(workload.SPECCPU2006())[:1], "cancel-retry"); err != nil {
-		t.Fatalf("fresh characterization after a cancelled one: %v", err)
+	if _, err := l.Profiler(IvyBridge).CharacterizeAllContext(ctx, set, profile.SMT); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if got := l.charRuns.Load(); got != 1 {
-		t.Fatalf("cancelled lab ran %d fan-outs, want 1", got)
+	got, err := l.Profiler(IvyBridge).CharacterizeAllContext(context.Background(), set, profile.SMT)
+	if err != nil {
+		t.Fatalf("retry after a cancelled characterization: %v", err)
+	}
+	want, err := NewLab(tinyLabScale()).Profiler(IvyBridge).CharacterizeAllContext(context.Background(), set, profile.SMT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("retried characterization diverged from a fresh Lab's:\n got: %+v\nwant: %+v", got, want)
 	}
 }

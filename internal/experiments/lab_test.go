@@ -19,12 +19,11 @@ func tinyLabScale() Scale {
 	}
 }
 
-// Regression for the Characterizations check-then-act race: concurrent
-// callers of the same memo key used to each run the full characterization
-// fan-out, with every loser's work discarded. The memo is now
-// single-flight, so exactly one fan-out may execute. Run under -race (the
-// CI race job includes this package) to also catch unsynchronised map
-// access.
+// Concurrent and repeated characterizations of one set share the Lab's
+// simulation cache: only the first simulates, each distinct run exactly
+// once, and every caller gets results in its own requested order. Run
+// under -race (the CI race job includes this package) to also catch
+// unsynchronised access.
 func TestCharacterizationsSingleFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization fan-out in short mode")
@@ -38,11 +37,10 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same set contents in different orders: one memo key, and each caller
-	// gets results in its own requested order.
 	sets := [][]*workload.Spec{
 		{a, b}, {b, a}, {a, b}, {b, a}, {a, b}, {b, a},
 	}
+	p := lab.Profiler(IvyBridge)
 	results := make([][]profile.Characterization, len(sets))
 	errs := make([]error, len(sets))
 	var wg sync.WaitGroup
@@ -50,7 +48,7 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int, set []*workload.Spec) {
 			defer wg.Done()
-			results[i], errs[i] = lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, set, "race-test")
+			results[i], errs[i] = p.CharacterizeAllContext(context.Background(), set, profile.SMT)
 		}(i, set)
 	}
 	wg.Wait()
@@ -79,22 +77,25 @@ func TestCharacterizationsSingleFlight(t *testing.T) {
 			}
 		}
 	}
-	if runs := lab.charRuns.Load(); runs != 1 {
-		t.Errorf("characterization fan-out executed %d times for one key, want 1 (single-flight)", runs)
+	// Distinct runs: each app's solo, each Ruler's solo, each cell.
+	nr := len(p.RulerSet())
+	runs := uint64(2 + nr + 2*nr)
+	if m := lab.CacheStats().Misses; m != runs {
+		t.Errorf("concurrent characterizations simulated %d runs, want %d (each distinct run once)", m, runs)
 	}
-	// A second, sequential call is a pure memo hit.
-	if _, err := lab.CharacterizationsContext(context.Background(), IvyBridge, profile.SMT, sets[0], "race-test"); err != nil {
+	// A second, sequential call simulates nothing.
+	if _, err := p.CharacterizeAllContext(context.Background(), sets[0], profile.SMT); err != nil {
 		t.Fatal(err)
 	}
-	if runs := lab.charRuns.Load(); runs != 1 {
-		t.Errorf("memo hit re-ran the fan-out (%d runs)", runs)
+	if m := lab.CacheStats().Misses; m != runs {
+		t.Errorf("repeated characterization simulated again (%d runs, want %d)", m, runs)
 	}
 }
 
 // A reduced-core Scale (TestScale halves the Sandy Bridge-EN to 4 cores)
 // must still characterize the 6-thread CloudSuite applications: the
-// thread clamp lives in Characterizations' job construction, not in
-// cloudSet, and this pins that it actually engages.
+// thread clamp lives in the profiler's JobFor, not in cloudSet, and this
+// pins that it actually engages.
 func TestScaleReducedCoresClampsCloudThreads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization fan-out in short mode")
@@ -119,14 +120,14 @@ func TestScaleReducedCoresClampsCloudThreads(t *testing.T) {
 	}
 	// Unclamped, the machine cannot host the job ...
 	p := lab.Profiler(SandyBridgeEN)
-	if _, err := p.CharacterizeJob(profile.AppThreads(spec, spec.ThreadCount()), profile.SMT); err == nil {
+	if _, err := p.CharacterizeJobContext(context.Background(), profile.AppThreads(spec, spec.ThreadCount()), profile.SMT); err == nil {
 		t.Errorf("%d-thread job on %d cores characterized without error — clamp premise broken",
 			spec.ThreadCount(), lab.SNB.Cores)
 	}
-	// ... while Characterizations clamps and succeeds.
-	chars, err := lab.CharacterizationsContext(context.Background(), SandyBridgeEN, profile.SMT, set, "clamp-test")
+	// ... while CharacterizeAllContext clamps and succeeds.
+	chars, err := p.CharacterizeAllContext(context.Background(), set, profile.SMT)
 	if err != nil {
-		t.Fatalf("Characterizations with reduced cores: %v", err)
+		t.Fatalf("CharacterizeAllContext with reduced cores: %v", err)
 	}
 	if chars[0].App != spec.Name || chars[0].SoloIPC <= 0 {
 		t.Errorf("clamped characterization looks wrong: %+v", chars[0])

@@ -49,11 +49,11 @@ func (l *Lab) specPrediction(ctx context.Context, placement profile.Placement, t
 	train := l.specSet(workload.EvenSPEC())
 	test := l.specSet(workload.OddSPEC())
 	all := append(append([]*workload.Spec{}, train...), test...)
-	chars, err := l.CharacterizationsContext(ctx, IvyBridge, placement, all, fmt.Sprintf("spec-%d", len(all)))
+	p := l.Profiler(IvyBridge)
+	chars, err := p.CharacterizeAllContext(ctx, all, placement)
 	if err != nil {
 		return PredictionResult{}, err
 	}
-	p := l.Profiler(IvyBridge)
 	trainPairs, err := p.MeasurePairsContext(ctx, train, train, placement)
 	if err != nil {
 		return PredictionResult{}, err
@@ -222,7 +222,7 @@ func (l *Lab) buildCloudStudy(ctx context.Context) (*cloudStudy, error) {
 	for _, placement := range []profile.Placement{profile.SMT, profile.CMP} {
 		allApps := append(append([]*workload.Spec{}, train...), batch...)
 		allApps = append(allApps, cloudApps...)
-		chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, placement, allApps, fmt.Sprintf("cloud-%d-%d", placement, len(allApps)))
+		chars, err := p.CharacterizeAllContext(ctx, allApps, placement)
 		if err != nil {
 			return nil, err
 		}

@@ -52,8 +52,7 @@ func (l *Lab) Fig13TailLatencyContext(ctx context.Context) (Fig13Result, error) 
 	if err != nil {
 		return Fig13Result{}, err
 	}
-	set, name := l.allAppsSet()
-	chars, err := l.CharacterizationsContext(ctx, SandyBridgeEN, profile.SMT, set, name)
+	chars, err := l.Profiler(SandyBridgeEN).CharacterizeAllContext(ctx, l.allAppsSet(), profile.SMT)
 	if err != nil {
 		return Fig13Result{}, err
 	}

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -30,7 +31,7 @@ func batchOptions() Options {
 // characterization computed through the pooled one-chip-per-worker
 // scheduler must be bit-identical to one computed with a fresh engine
 // instance per cell. The fresh side is assembled by hand from the package
-// Solo/Colocate functions, which never see a scheduler slot and therefore
+// SoloContext/ColocateContext functions, which never see a scheduler slot and therefore
 // always allocate.
 func TestBatchedMatchesFreshChips(t *testing.T) {
 	cfg := batchConfig()
@@ -43,7 +44,7 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		o := opts
 		o.Parallelism = workers
-		batched, err := NewProfiler(cfg, o).CharacterizeAll(specs, SMT)
+		batched, err := NewProfiler(cfg, o).CharacterizeAllContext(context.Background(), specs, SMT)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,7 +52,7 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 		var fresh []Characterization
 		for _, spec := range specs {
 			job := App(spec)
-			solo, err := Solo(cfg, job, opts)
+			solo, err := SoloContext(context.Background(), cfg, job, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,16 +63,16 @@ func TestBatchedMatchesFreshChips(t *testing.T) {
 				SoloPMU:   solo.AppCounters[0],
 			}
 			for _, r := range rulers.StandardSet(cfg) {
-				rulerSolo, err := Solo(cfg, Rulers(r, 1), opts)
+				rsolo, err := SoloContext(context.Background(), cfg, Rulers(r, 1), opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				co, err := Colocate(cfg, job, Rulers(r, job.Instances()), SMT, opts)
+				co, err := ColocateContext(context.Background(), cfg, job, Rulers(r, job.Instances()), SMT, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ch.Sen[r.Dim] = Degradation(solo.AppIPC, co.AppIPC)
-				ch.Con[r.Dim] = Degradation(rulerSolo.AppIPC, co.PartnerIPC)
+				ch.Con[r.Dim] = Degradation(rsolo.AppIPC, co.PartnerIPC)
 			}
 			fresh = append(fresh, ch)
 		}
@@ -142,7 +143,7 @@ func TestChipForRespectsForeignSlot(t *testing.T) {
 }
 
 // TestCharacterizeSweep exercises the grid API: the intensity-1.0 column
-// must be bit-identical to CharacterizeAll, every dimension must carry one
+// must be bit-identical to CharacterizeAllContext, every dimension must carry one
 // sample per grid point in ascending order, and 1.0 must be appended when
 // missing.
 func TestCharacterizeSweep(t *testing.T) {
@@ -152,7 +153,7 @@ func TestCharacterizeSweep(t *testing.T) {
 	specs := []*workload.Spec{mustByName(t, "429.mcf")}
 
 	p := NewProfiler(cfg, opts)
-	sweeps, err := p.CharacterizeSweep([]Job{App(specs[0])}, SMT, []float64{0.5})
+	sweeps, err := p.CharacterizeSweepContext(context.Background(), []Job{App(specs[0])}, SMT, []float64{0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +173,63 @@ func TestCharacterizeSweep(t *testing.T) {
 		}
 	}
 
-	chars, err := NewProfiler(cfg, opts).CharacterizeAll(specs, SMT)
+	chars, err := NewProfiler(cfg, opts).CharacterizeAllContext(context.Background(), specs, SMT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sw.Characterization, chars[0]) {
 		t.Errorf("sweep's intensity-1.0 characterization diverged from CharacterizeAll:\nsweep: %+v\n  all: %+v",
 			sw.Characterization, chars[0])
+	}
+}
+
+// Two intensities whose Rulers share a name ("…@0.33") are distinct
+// Equation 2 baselines: every Con sample must be measured against its own
+// intensity's Ruler solo, never against a same-named neighbour's.
+func TestSweepConUsesOwnRulerSolo(t *testing.T) {
+	cfg := batchConfig()
+	opts := batchOptions()
+	job := App(mustByName(t, "444.namd"))
+	p := NewProfiler(cfg, opts)
+	sweeps, err := p.CharacterizeSweepContext(context.Background(), []Job{job}, SMT, []float64{0.333, 0.334})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range p.RulerSet() {
+		for _, sm := range sweeps[0].Samples[r.Dim] {
+			rx := r
+			if sm.Intensity != 1 {
+				rx = r.WithIntensity(sm.Intensity)
+			}
+			solo, err := SoloContext(context.Background(), cfg, Rulers(rx, 1), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			co, err := ColocateContext(context.Background(), cfg, job, Rulers(rx, job.Instances()), SMT, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := Degradation(solo.AppIPC, co.PartnerIPC); sm.Con != want {
+				t.Errorf("%s at %.3f: Con %.5f, want %.5f against its own solo", r.Dim, sm.Intensity, sm.Con, want)
+			}
+		}
+	}
+}
+
+func TestSweepGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		in   []float64
+		want []float64
+	}{
+		{"empty", nil, []float64{1}},
+		{"sorted and deduplicated", []float64{0.5, 0.25, 0.5, 1}, []float64{0.25, 0.5, 1}},
+		{"clamped", []float64{-1, 0, 2}, []float64{0.01, 1}},
+		{"NaN dropped", []float64{math.NaN(), math.NaN(), 0.5}, []float64{0.5, 1}},
+	} {
+		if got := SweepGrid(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: SweepGrid(%v) = %v, want %v", tc.name, tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -57,29 +58,29 @@ func TestCachedBitIdentical(t *testing.T) {
 	partner := App(mustSpec(t, "470.lbm"))
 
 	opts := cacheTestOptions()
-	uncachedSolo, err := Solo(cfg, app, opts)
+	uncachedSolo, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncachedCo, err := Colocate(cfg, app, partner, SMT, opts)
+	uncachedCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts.Cache = simcache.New[RunResult]()
-	firstSolo, err := Solo(cfg, app, opts) // miss: simulates
+	firstSolo, err := SoloContext(context.Background(), cfg, app, opts) // miss: simulates
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedSolo, err := Solo(cfg, app, opts) // hit
+	cachedSolo, err := SoloContext(context.Background(), cfg, app, opts) // hit
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstCo, err := Colocate(cfg, app, partner, SMT, opts)
+	firstCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedCo, err := Colocate(cfg, app, partner, SMT, opts)
+	cachedCo, err := ColocateContext(context.Background(), cfg, app, partner, SMT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +112,12 @@ func TestCacheHitIsolation(t *testing.T) {
 	opts.Cache = simcache.New[RunResult]()
 	app := App(mustSpec(t, "429.mcf"))
 
-	first, err := Solo(cfg, app, opts)
+	first, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.AppCounters[0].Instructions = math.MaxUint64 // vandalise our copy
-	second, err := Solo(cfg, app, opts)
+	second, err := SoloContext(context.Background(), cfg, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	want := make([]RunResult, len(apps))
 	for i, a := range apps {
-		r, err := Solo(cfg, a, opts)
+		r, err := SoloContext(context.Background(), cfg, a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				idx := (g + i) % len(apps)
-				r, err := Solo(cfg, apps[idx], opts)
+				r, err := SoloContext(context.Background(), cfg, apps[idx], opts)
 				if err != nil {
 					t.Errorf("solo %s: %v", apps[idx].Name(), err)
 					return

@@ -17,9 +17,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs/trace"
@@ -71,12 +71,13 @@ type Options struct {
 	// scheduler's reduction is index-ordered — so this is purely a
 	// throughput/footprint knob.
 	Parallelism int
-	// Progress, when non-nil, receives batch progress from the scheduled
-	// helpers (CharacterizeAll, MeasurePairs and their Context forms):
-	// done counts completed simulation cells of the current batch, total
-	// the batch's cell count. It may be invoked concurrently from worker
-	// goroutines; done is monotone per batch but calls can arrive out of
-	// order. Excluded from cache keys — it never influences results.
+	// Progress, when non-nil, receives progress from every
+	// characterization (each Characterize...Context form, a single
+	// application included) and from MeasurePairsContext: done counts
+	// completed cells of the current call, total the call's cell count. It
+	// may be invoked concurrently from worker goroutines; done is monotone
+	// per call but calls can arrive out of order. Excluded from cache keys
+	// — it never influences results.
 	Progress func(done, total int)
 	// Check attaches the runtime invariant checker (internal/sim/check) to
 	// every chip this Options drives: run results are validated against the
@@ -296,28 +297,18 @@ func (r RunResult) clone() RunResult {
 	return r
 }
 
-// Solo measures a job running alone on the chip (one instance per core,
-// context 0).
-func Solo(cfg isa.Config, job Job, opts Options) (RunResult, error) {
-	return run(context.Background(), cfg, job, nil, SMT, opts)
-}
-
-// SoloContext is Solo with cooperative cancellation: the simulation aborts
-// mid-window (engine.RunContext) when ctx is cancelled, and a cancelled
-// leader never poisons concurrent cache followers (simcache.DoContext).
+// SoloContext measures a job running alone on the chip (one instance per
+// core, context 0). The simulation aborts mid-window (engine.RunContext)
+// when ctx is cancelled, and a cancelled leader never poisons concurrent
+// cache followers (simcache.DoContext).
 func SoloContext(ctx context.Context, cfg isa.Config, job Job, opts Options) (RunResult, error) {
 	return run(ctx, cfg, job, nil, SMT, opts)
 }
 
-// Colocate measures job and partner sharing the chip under the given
-// placement. For SMT, instance i of the job runs on core i context 0 and
-// partner instance j on core j context 1. For CMP, the partner occupies
-// cores after the job's.
-func Colocate(cfg isa.Config, job, partner Job, placement Placement, opts Options) (RunResult, error) {
-	return run(context.Background(), cfg, job, partner, placement, opts)
-}
-
-// ColocateContext is Colocate with cooperative cancellation.
+// ColocateContext measures job and partner sharing the chip under the
+// given placement, with cooperative cancellation. For SMT, instance i of
+// the job runs on core i context 0 and partner instance j on core j
+// context 1. For CMP, the partner occupies cores after the job's.
 func ColocateContext(ctx context.Context, cfg isa.Config, job, partner Job, placement Placement, opts Options) (RunResult, error) {
 	return run(ctx, cfg, job, partner, placement, opts)
 }
@@ -368,7 +359,7 @@ type chipBox struct {
 // cached instance when one exists. Reuse is invisible in results: Reset
 // restores a chip bit-identically to its post-New state (the engine pins
 // this), so batched runs hash equal to one-chip-per-cell runs. Callers
-// outside a sched.Map (one-off Solo/Colocate) get a fresh chip.
+// outside a sched.Map (one-off SoloContext/ColocateContext) get a fresh chip.
 func chipFor(ctx context.Context, cfg isa.Config) (*engine.Chip, error) {
 	slot := sched.SlotFrom(ctx)
 	if slot == nil {
@@ -518,33 +509,24 @@ type Characterization struct {
 }
 
 // Profiler characterises applications and measures co-locations on one
-// machine configuration, memoising solo runs. It is safe for concurrent
-// use.
+// machine configuration. Its simulation cache (Options.Cache) is the only
+// run memo. It is safe for concurrent use.
 type Profiler struct {
 	cfg  isa.Config
 	set  []*rulers.Ruler
 	opts Options
-
-	mu        sync.Mutex
-	appSolo   map[string]RunResult
-	rulerSolo map[string]float64
 }
 
 // NewProfiler builds a profiler for the configuration using the standard
 // Ruler set sized to its caches. Unless the caller supplied one, every
-// profiler gets its own simulation cache so repeated co-location queries
-// (e.g. the same Ruler pairing reached via different sweeps) simulate once.
+// profiler gets its own simulation cache so repeated runs (a solo reached
+// from several characterizations, the same Ruler pairing reached via
+// different sweeps) simulate once.
 func NewProfiler(cfg isa.Config, opts Options) *Profiler {
 	if opts.Cache == nil {
 		opts.Cache = simcache.New[RunResult]()
 	}
-	return &Profiler{
-		cfg:       cfg,
-		set:       rulers.StandardSet(cfg),
-		opts:      opts,
-		appSolo:   make(map[string]RunResult),
-		rulerSolo: make(map[string]float64),
-	}
+	return &Profiler{cfg: cfg, set: rulers.StandardSet(cfg), opts: opts}
 }
 
 // Config returns the profiler's machine configuration.
@@ -565,52 +547,13 @@ func (p *Profiler) CacheStats() simcache.Stats {
 	return p.opts.Cache.Stats()
 }
 
-func soloKey(job Job) string { return fmt.Sprintf("%s/%d", job.Name(), job.Instances()) }
-
-// SoloRun measures (and memoises) a job running alone.
-func (p *Profiler) SoloRun(job Job) (RunResult, error) {
-	return p.SoloRunContext(context.Background(), job)
-}
-
-// SoloRunContext is SoloRun with cooperative cancellation.
+// SoloRunContext measures a job running alone on the profiler's machine
+// (SoloContext under the profiler's options, so its cache memoises it).
 func (p *Profiler) SoloRunContext(ctx context.Context, job Job) (RunResult, error) {
-	key := soloKey(job)
-	p.mu.Lock()
-	if r, ok := p.appSolo[key]; ok {
-		p.mu.Unlock()
-		return r, nil
-	}
-	p.mu.Unlock()
-	r, err := SoloContext(ctx, p.cfg, job, p.opts)
-	if err != nil {
-		return RunResult{}, err
-	}
-	p.mu.Lock()
-	p.appSolo[key] = r
-	p.mu.Unlock()
-	return r, nil
+	return SoloContext(ctx, p.cfg, job, p.opts)
 }
 
-// rulerSoloIPC measures (and memoises) a single Ruler instance running
-// alone; this is the Con denominator of Equation 2.
-func (p *Profiler) rulerSoloIPC(ctx context.Context, r *rulers.Ruler) (float64, error) {
-	p.mu.Lock()
-	if ipc, ok := p.rulerSolo[r.Name]; ok {
-		p.mu.Unlock()
-		return ipc, nil
-	}
-	p.mu.Unlock()
-	res, err := SoloContext(ctx, p.cfg, Rulers(r, 1), p.opts)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	p.rulerSolo[r.Name] = res.AppIPC
-	p.mu.Unlock()
-	return res.AppIPC, nil
-}
-
-// jobFor builds the Job arrangement Characterize uses for a spec:
+// jobFor builds the Job arrangement CharacterizeContext uses for a spec:
 // multithreaded applications are clamped to the machine (half the cores
 // under the CMP half-loaded arrangement).
 func (p *Profiler) jobFor(spec *workload.Spec, placement Placement) Job {
@@ -626,204 +569,59 @@ func (p *Profiler) jobFor(spec *workload.Spec, placement Placement) Job {
 	return AppThreads(spec, threads)
 }
 
-// JobFor exposes the spec→Job arrangement Characterize uses, so callers
-// building their own cell batches (e.g. the surrogate fitter's sweeps) place
-// applications exactly as the standard characterization would.
+// JobFor exposes the spec→Job arrangement CharacterizeContext uses, so
+// callers building their own cell batches (e.g. the surrogate fitter's
+// sweeps) place applications exactly as the standard characterization
+// would.
 func (p *Profiler) JobFor(spec *workload.Spec, placement Placement) Job {
 	return p.jobFor(spec, placement)
 }
 
-// Characterize measures an application's sensitivity and contentiousness in
-// every sharing dimension by co-locating it with each standard Ruler under
-// the given placement. Multithreaded applications are co-located with one
-// Ruler instance per thread, as in the paper's CloudSuite setup.
-func (p *Profiler) Characterize(spec *workload.Spec, placement Placement) (Characterization, error) {
-	return p.CharacterizeContext(context.Background(), spec, placement)
-}
-
-// CharacterizeContext is Characterize with cooperative cancellation; the
-// per-Ruler cells fan out across the Options.Parallelism worker pool.
+// CharacterizeContext measures an application's sensitivity and
+// contentiousness in every sharing dimension by co-locating it with each
+// standard Ruler under the given placement. Multithreaded applications are
+// co-located with one Ruler instance per thread, as in the paper's
+// CloudSuite setup.
 func (p *Profiler) CharacterizeContext(ctx context.Context, spec *workload.Spec, placement Placement) (Characterization, error) {
 	return p.CharacterizeJobContext(ctx, p.jobFor(spec, placement), placement)
 }
 
-// CharacterizeJob is Characterize for an explicit Job arrangement, using
-// one Ruler instance per job instance (full pressure).
-func (p *Profiler) CharacterizeJob(job Job, placement Placement) (Characterization, error) {
-	return p.CharacterizeJobContext(context.Background(), job, placement)
-}
-
-// CharacterizeJobContext is CharacterizeJob with cooperative cancellation.
+// CharacterizeJobContext is CharacterizeContext for an explicit Job
+// arrangement, using one Ruler instance per job instance (full pressure).
 func (p *Profiler) CharacterizeJobContext(ctx context.Context, job Job, placement Placement) (Characterization, error) {
 	return p.CharacterizeJobRulersContext(ctx, job, placement, job.Instances())
 }
 
-// CharacterizeJobRulers characterizes a job against a specific Ruler
+// CharacterizeJobRulersContext characterizes a job against a specific Ruler
 // instance count. For multithreaded latency applications this measures the
 // *partial-occupancy* sensitivity Sen(n) — the degradation when only n of
 // the job's sibling contexts carry pressure — which the scale-out studies
 // use to predict co-locations with fewer batch instances than threads.
 // Profiling cost stays Ruler-only: no batch-application cross-product.
-func (p *Profiler) CharacterizeJobRulers(job Job, placement Placement, rulerInstances int) (Characterization, error) {
-	return p.CharacterizeJobRulersContext(context.Background(), job, placement, rulerInstances)
-}
-
-// CharacterizeJobRulersContext is CharacterizeJobRulers with cooperative
-// cancellation. The per-Ruler (application, Ruler) cells — independent
-// simulations — run on the internal/sched worker pool; because each cell
-// writes only its own Sen/Con dimension, the result is bit-identical to
-// the sequential sweep at any Parallelism.
 func (p *Profiler) CharacterizeJobRulersContext(ctx context.Context, job Job, placement Placement, rulerInstances int) (Characterization, error) {
-	ctx, span := trace.Start(ctx, "profile.characterize",
-		trace.String("job", job.Name()), trace.String("placement", placement.String()))
-	defer span.End()
-	solo, err := p.SoloRunContext(ctx, job)
+	out, err := p.characterize(ctx, []Job{job}, placement, max(rulerInstances, 1), nil)
 	if err != nil {
 		return Characterization{}, err
 	}
-	ch := Characterization{
-		App:       job.Name(),
-		Placement: placement,
-		SoloIPC:   solo.AppIPC,
-		SoloPMU:   solo.AppCounters[0],
-	}
-	instances := rulerInstances
-	if instances < 1 {
-		instances = 1
-	}
-	if placement == CMP && job.Instances() > p.cfg.Cores/2 {
-		return Characterization{}, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
-	}
-	err = sched.Map(ctx, len(p.set), p.opts.workers(), func(ctx context.Context, i int) error {
-		sen, con, err := p.rulerCell(ctx, job, p.set[i], instances, placement, solo.AppIPC)
-		if err != nil {
-			return err
-		}
-		ch.Sen[p.set[i].Dim] = sen
-		ch.Con[p.set[i].Dim] = con
-		return nil
-	})
-	if err != nil {
-		return Characterization{}, err
-	}
-	return ch, nil
+	return out[0].Characterization, nil
 }
 
-// rulerCell measures one (job, Ruler) characterization cell: the job's
-// sensitivity and the Ruler's received contentiousness on the Ruler's
-// dimension. Cells are independent simulations — the unit of work the
-// scheduler fans out.
-func (p *Profiler) rulerCell(ctx context.Context, job Job, r *rulers.Ruler, instances int, placement Placement, soloIPC float64) (sen, con float64, err error) {
-	ctx, span := trace.Start(ctx, "profile.ruler-cell",
-		trace.String("job", job.Name()), trace.String("ruler", r.Name))
-	defer span.End()
-	rulerIPC, err := p.rulerSoloIPC(ctx, r)
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := ColocateContext(ctx, p.cfg, job, Rulers(r, instances), placement, p.opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	return Degradation(soloIPC, res.AppIPC), Degradation(rulerIPC, res.PartnerIPC), nil
-}
-
-// CharacterizeAll characterises a batch of applications concurrently.
-func (p *Profiler) CharacterizeAll(specs []*workload.Spec, placement Placement) ([]Characterization, error) {
-	return p.CharacterizeAllContext(context.Background(), specs, placement)
-}
-
-// CharacterizeAllContext is CharacterizeAll with cooperative cancellation.
-// Instead of nesting one worker pool per application, the batch is
-// flattened into its individual simulation cells — every solo run and
-// every (application, Ruler) co-location — and those cells are fanned
-// across one Options.Parallelism-bounded pool, so the batch scales
-// near-linearly with workers even when it holds fewer applications than
-// CPUs. Each cell writes only its own index-addressed slot; the result is
-// bit-identical to the sequential sweep at any Parallelism (pinned by the
-// internal/simtest parallelism-independence law).
+// CharacterizeAllContext characterises a batch of applications on one
+// worker pool (see characterize).
 func (p *Profiler) CharacterizeAllContext(ctx context.Context, specs []*workload.Spec, placement Placement) ([]Characterization, error) {
 	jobs := make([]Job, len(specs))
 	for i, s := range specs {
 		jobs[i] = p.jobFor(s, placement)
 	}
-	return p.characterizeJobs(ctx, jobs, placement)
-}
-
-// CharacterizeJobsContext characterizes explicit Job arrangements with the
-// same flat-cell scheduling as CharacterizeAllContext, for callers (such as
-// the experiment Lab) that size thread counts themselves.
-func (p *Profiler) CharacterizeJobsContext(ctx context.Context, jobs []Job, placement Placement) ([]Characterization, error) {
-	return p.characterizeJobs(ctx, jobs, placement)
-}
-
-// characterizeJobs is the flat-cell scheduler behind CharacterizeAllContext.
-func (p *Profiler) characterizeJobs(ctx context.Context, jobs []Job, placement Placement) ([]Characterization, error) {
-	for _, job := range jobs {
-		if placement == CMP && job.Instances() > p.cfg.Cores/2 {
-			return nil, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
-		}
-	}
-	workers := p.opts.workers()
-	nr := len(p.set)
-	solos := len(jobs) + nr
-	total := solos + len(jobs)*nr
-	var done atomic.Int64
-	tick := func() { p.opts.progress(int(done.Add(1)), total) }
-
-	// Phase 1: every solo run — each application arrangement plus the
-	// Ruler baselines of Equation 2 — warms the profiler memos in
-	// parallel, so phase 2's cells never duplicate a solo simulation.
-	phaseCtx, phase := trace.Start(ctx, "profile.solo-phase",
-		trace.Int("jobs", len(jobs)), trace.Int("rulers", nr))
-	out := make([]Characterization, len(jobs))
-	err := sched.Map(phaseCtx, solos, workers, func(ctx context.Context, i int) error {
-		if i < len(jobs) {
-			solo, err := p.SoloRunContext(ctx, jobs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = Characterization{
-				App:       jobs[i].Name(),
-				Placement: placement,
-				SoloIPC:   solo.AppIPC,
-				SoloPMU:   solo.AppCounters[0],
-			}
-			tick()
-			return nil
-		}
-		if _, err := p.rulerSoloIPC(ctx, p.set[i-len(jobs)]); err != nil {
-			return err
-		}
-		tick()
-		return nil
-	})
-	phase.End()
+	out, err := p.characterize(ctx, jobs, placement, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: the (application, Ruler) co-location cells, flattened into
-	// one index space. Cell (ji, ri) writes only out[ji].Sen/Con[dim] —
-	// disjoint memory — keeping the reduction order-free.
-	phaseCtx, phase = trace.Start(ctx, "profile.pair-phase",
-		trace.Int("cells", len(jobs)*nr))
-	err = sched.Map(phaseCtx, len(jobs)*nr, workers, func(ctx context.Context, i int) error {
-		ji, ri := i/nr, i%nr
-		sen, con, err := p.rulerCell(ctx, jobs[ji], p.set[ri], jobs[ji].Instances(), placement, out[ji].SoloIPC)
-		if err != nil {
-			return err
-		}
-		out[ji].Sen[p.set[ri].Dim] = sen
-		out[ji].Con[p.set[ri].Dim] = con
-		tick()
-		return nil
-	})
-	phase.End()
-	if err != nil {
-		return nil, err
+	chars := make([]Characterization, len(out))
+	for i, r := range out {
+		chars[i] = r.Characterization
 	}
-	return out, nil
+	return chars, nil
 }
 
 // SweepSample is one measured cell of an intensity sweep: the job's
@@ -844,20 +642,18 @@ type SweepResult struct {
 	Samples          [rulers.NumDimensions][]SweepSample
 }
 
-// CharacterizeSweep measures the (dimension × intensity) grid for each job.
-func (p *Profiler) CharacterizeSweep(jobs []Job, placement Placement, intensities []float64) ([]SweepResult, error) {
-	return p.CharacterizeSweepContext(context.Background(), jobs, placement, intensities)
-}
-
-// SweepGrid normalizes a requested intensity list: clamped into (0, 1],
-// deduplicated, ascending, with 1.0 always present (the grid's last column
-// doubles as the standard characterization). Exported so sweep consumers
-// (the surrogate fitter's content-addressed keys) hash the exact grid the
-// sweep will run.
+// SweepGrid normalizes a requested intensity list: NaN dropped, clamped
+// into (0, 1], deduplicated, ascending, with 1.0 always present (the grid's
+// last column doubles as the standard characterization). Exported so sweep
+// consumers (the surrogate fitter's content-addressed keys) hash the exact
+// grid the sweep will run.
 func SweepGrid(intensities []float64) []float64 {
 	seen := make(map[float64]bool)
 	var xs []float64
 	for _, x := range append(append([]float64(nil), intensities...), 1.0) {
+		if math.IsNaN(x) {
+			continue
+		}
 		if x <= 0 {
 			x = 0.01
 		}
@@ -873,41 +669,58 @@ func SweepGrid(intensities []float64) []float64 {
 	return xs
 }
 
-// CharacterizeSweepContext is CharacterizeSweep with cooperative
-// cancellation. Like CharacterizeAllContext it flattens the batch into
-// independent simulation cells — every job and Ruler solo plus one
-// co-location per (job, dimension, intensity) — and fans them across one
-// Parallelism-bounded worker pool, each worker reusing a single pooled chip
-// across its cells. The intensity-1.0 column uses the unmodified standard
-// Ruler set, so it is bit-identical to (and shares simulation-cache entries
-// with) CharacterizeAllContext.
+// CharacterizeSweepContext measures the (dimension × intensity) grid for
+// each job (see characterize). The intensity-1.0 column uses the
+// unmodified standard Ruler set, so it is bit-identical to (and shares
+// simulation-cache entries with) CharacterizeAllContext.
 func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, placement Placement, intensities []float64) ([]SweepResult, error) {
+	return p.characterize(ctx, jobs, placement, 0, intensities)
+}
+
+// characterize is the one characterization scheduler. It flattens the
+// batch into independent simulation cells and fans them across one
+// Options.Parallelism-bounded worker pool, each worker reusing a single
+// pooled chip across its cells, in two phases: first every solo run (each
+// job, and each (Ruler, intensity) baseline of Equation 2), then every
+// (job, Ruler, intensity) co-location. Each cell writes only its own
+// index-addressed slot, so the result is bit-identical to a sequential
+// sweep at any Parallelism (pinned by the internal/simtest
+// parallelism-independence law). Each job is co-located with
+// rulerInstances Ruler instances (0: one per job instance). The grid is
+// SweepGrid(intensities); its 1.0 column is the standard Ruler set and
+// fills each result's Characterization.
+func (p *Profiler) characterize(ctx context.Context, jobs []Job, placement Placement, rulerInstances int, intensities []float64) ([]SweepResult, error) {
+	ctx, span := trace.Start(ctx, "profile.characterize",
+		trace.Int("jobs", len(jobs)), trace.String("placement", placement.String()))
+	defer span.End()
 	for _, job := range jobs {
 		if placement == CMP && job.Instances() > p.cfg.Cores/2 {
 			return nil, fmt.Errorf("profile: job %s with %d instances cannot be CMP-characterized on %d cores", job.Name(), job.Instances(), p.cfg.Cores)
 		}
 	}
 	xs := SweepGrid(intensities)
-	nr, nx := len(p.set), len(xs)
-	rulerAt := func(ri, xi int) *rulers.Ruler {
-		if xs[xi] == 1 {
-			return p.set[ri] // standard column: bit-identical to CharacterizeAll
+	nj, nr, nx := len(jobs), len(p.set), len(xs)
+	// rulerAt returns the Ruler of flat index k = ri*nx + xi.
+	rulerAt := func(k int) *rulers.Ruler {
+		r, x := p.set[k/nx], xs[k%nx]
+		if x == 1 {
+			return r // the standard column
 		}
-		return p.set[ri].WithIntensity(xs[xi])
+		return r.WithIntensity(x)
 	}
 	workers := p.opts.workers()
-	solos := len(jobs) + nr*nx
-	total := solos + len(jobs)*nr*nx
+	solos := nj + nr*nx
+	total := solos + nj*nr*nx
 	var done atomic.Int64
 	tick := func() { p.opts.progress(int(done.Add(1)), total) }
 
-	// Phase 1: all solo runs — each job plus every (Ruler, intensity)
-	// baseline of Equation 2 — warm the profiler memos in parallel.
-	phaseCtx, phase := trace.Start(ctx, "profile.sweep-solo-phase",
-		trace.Int("jobs", len(jobs)), trace.Int("cells", solos))
-	out := make([]SweepResult, len(jobs))
+	// Phase 1: every solo run, so phase 2's cells never wait on one.
+	phaseCtx, phase := trace.Start(ctx, "profile.solo-phase",
+		trace.Int("jobs", nj), trace.Int("cells", solos))
+	out := make([]SweepResult, nj)
+	rulerIPC := make([]float64, nr*nx)
 	err := sched.Map(phaseCtx, solos, workers, func(ctx context.Context, i int) error {
-		if i < len(jobs) {
+		if i < nj {
 			solo, err := p.SoloRunContext(ctx, jobs[i])
 			if err != nil {
 				return err
@@ -921,12 +734,12 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 			for d := range out[i].Samples {
 				out[i].Samples[d] = make([]SweepSample, nx)
 			}
-			tick()
-			return nil
-		}
-		ri, xi := (i-len(jobs))/nx, (i-len(jobs))%nx
-		if _, err := p.rulerSoloIPC(ctx, rulerAt(ri, xi)); err != nil {
-			return err
+		} else {
+			solo, err := p.SoloRunContext(ctx, Rulers(rulerAt(i-nj), 1))
+			if err != nil {
+				return err
+			}
+			rulerIPC[i-nj] = solo.AppIPC
 		}
 		tick()
 		return nil
@@ -936,21 +749,28 @@ func (p *Profiler) CharacterizeSweepContext(ctx context.Context, jobs []Job, pla
 		return nil, err
 	}
 
-	// Phase 2: the (job, dimension, intensity) co-location cells, flattened
-	// into one index space; each writes only its own grid slot.
-	phaseCtx, phase = trace.Start(ctx, "profile.sweep-pair-phase",
-		trace.Int("cells", len(jobs)*nr*nx))
-	err = sched.Map(phaseCtx, len(jobs)*nr*nx, workers, func(ctx context.Context, i int) error {
-		ji, ri, xi := i/(nr*nx), (i/nx)%nr, i%nx
-		r := rulerAt(ri, xi)
-		sen, con, err := p.rulerCell(ctx, jobs[ji], r, jobs[ji].Instances(), placement, out[ji].Characterization.SoloIPC)
+	// Phase 2: the (job, Ruler, intensity) co-location cells, flattened
+	// into one index space; cell (ji, k) writes only its own grid slot.
+	phaseCtx, phase = trace.Start(ctx, "profile.pair-phase", trace.Int("cells", nj*nr*nx))
+	err = sched.Map(phaseCtx, nj*nr*nx, workers, func(ctx context.Context, i int) error {
+		ji, k := i/(nr*nx), i%(nr*nx)
+		job, r, x := jobs[ji], rulerAt(k), xs[k%nx]
+		ctx, span := trace.Start(ctx, "profile.ruler-cell",
+			trace.String("job", job.Name()), trace.String("ruler", r.Name))
+		defer span.End()
+		n := rulerInstances
+		if n == 0 {
+			n = job.Instances()
+		}
+		res, err := ColocateContext(ctx, p.cfg, job, Rulers(r, n), placement, p.opts)
 		if err != nil {
 			return err
 		}
-		out[ji].Samples[p.set[ri].Dim][xi] = SweepSample{Intensity: xs[xi], Sen: sen, Con: con}
-		if xs[xi] == 1 {
-			out[ji].Characterization.Sen[p.set[ri].Dim] = sen
-			out[ji].Characterization.Con[p.set[ri].Dim] = con
+		ch := &out[ji].Characterization
+		sen, con := Degradation(ch.SoloIPC, res.AppIPC), Degradation(rulerIPC[k], res.PartnerIPC)
+		out[ji].Samples[r.Dim][k%nx] = SweepSample{Intensity: x, Sen: sen, Con: con}
+		if x == 1 {
+			ch.Sen[r.Dim], ch.Con[r.Dim] = sen, con
 		}
 		tick()
 		return nil
@@ -970,23 +790,13 @@ type PairMeasurement struct {
 	DegA, DegB float64
 }
 
-// MeasurePair measures the mutual degradation of two applications under
-// the given placement.
-func (p *Profiler) MeasurePair(a, b *workload.Spec, placement Placement) (PairMeasurement, error) {
-	return p.MeasurePairContext(context.Background(), a, b, placement)
-}
-
-// MeasurePairContext is MeasurePair with cooperative cancellation.
+// MeasurePairContext measures the mutual degradation of two applications
+// under the given placement.
 func (p *Profiler) MeasurePairContext(ctx context.Context, a, b *workload.Spec, placement Placement) (PairMeasurement, error) {
 	return p.MeasureJobsContext(ctx, App(a), App(b), placement)
 }
 
-// MeasureJobs measures the mutual degradation of two explicit jobs.
-func (p *Profiler) MeasureJobs(a, b Job, placement Placement) (PairMeasurement, error) {
-	return p.MeasureJobsContext(context.Background(), a, b, placement)
-}
-
-// MeasureJobsContext is MeasureJobs with cooperative cancellation.
+// MeasureJobsContext measures the mutual degradation of two explicit jobs.
 func (p *Profiler) MeasureJobsContext(ctx context.Context, a, b Job, placement Placement) (PairMeasurement, error) {
 	soloA, err := p.SoloRunContext(ctx, a)
 	if err != nil {
@@ -1007,14 +817,9 @@ func (p *Profiler) MeasureJobsContext(ctx context.Context, a, b Job, placement P
 	}, nil
 }
 
-// MeasurePairs measures all distinct pairs {a, b} from the two sets
+// MeasurePairsContext measures all distinct pairs {a, b} from the two sets
 // concurrently. Each unordered pair is co-located once — a single run
-// yields both sides' degradations — and same-name pairs are skipped.
-func (p *Profiler) MeasurePairs(as, bs []*workload.Spec, placement Placement) ([]PairMeasurement, error) {
-	return p.MeasurePairsContext(context.Background(), as, bs, placement)
-}
-
-// MeasurePairsContext is MeasurePairs with cooperative cancellation. The
+// yields both sides' degradations — and same-name pairs are skipped. The
 // per-pair measurements run on the internal/sched worker pool; each writes
 // its own index-addressed slot, so results are bit-identical to the
 // sequential sweep at any Parallelism. Options.Progress, when set, is

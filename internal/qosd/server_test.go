@@ -350,6 +350,8 @@ func TestProfileUploadRejectsBadPayloads(t *testing.T) {
 		{"truncated", good.String()[:good.Len()/2]},
 		{"not json", "ceci n'est pas un json"},
 		{"version skew", strings.Replace(good.String(), `"version": 1`, `"version": 99`, 1)},
+		{"short sen vector", tamperFirstProfile(t, good.String(), "Sen", []float64{0.5, 0.25})},
+		{"bad placement", tamperFirstProfile(t, good.String(), "Placement", 7)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -361,6 +363,22 @@ func TestProfileUploadRejectsBadPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tamperFirstProfile sets one field of the first profile in an encoded
+// profile file.
+func tamperFirstProfile(t *testing.T, s, field string, value any) string {
+	t.Helper()
+	var f map[string]any
+	if err := json.Unmarshal([]byte(s), &f); err != nil {
+		t.Fatal(err)
+	}
+	f["profiles"].([]any)[0].(map[string]any)[field] = value
+	out, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestRoutingErrorsAreTypedJSON(t *testing.T) {

@@ -74,7 +74,7 @@ func fitCurve(xs, ys []float64, ridge float64) (Curve, error) {
 }
 
 // Fit samples each application's (dimension, intensity) grid through the
-// engine — one batched CharacterizeSweep over the profiler's worker pool —
+// engine — one batched CharacterizeSweepContext over the profiler's worker pool —
 // and fits the per-dimension surrogate curves. The grid must hold at least
 // three points so the three-coefficient curves are determined by data.
 func Fit(ctx context.Context, p *profile.Profiler, specs []*workload.Spec, placement profile.Placement, fo FitOptions) (*Set, error) {

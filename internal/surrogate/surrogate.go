@@ -4,7 +4,7 @@
 // remaining the ground truth the curves are fitted — and bounded — against.
 //
 // The fitter (Fit) samples each application's (dimension, intensity) grid
-// through profile.CharacterizeSweep, fits one saturating roofline-style
+// through profile.CharacterizeSweepContext, fits one saturating roofline-style
 // curve per resource dimension by least squares (internal/linalg), and
 // records the curve's maximum and mean absolute residual over the training
 // grid as first-class artifacts. Those residuals make every surrogate

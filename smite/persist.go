@@ -20,14 +20,15 @@ import (
 // code. Match with errors.Is.
 var (
 	// ErrCorrupt wraps syntactically broken input: invalid or truncated
-	// JSON, wrong top-level shape.
+	// JSON, wrong top-level shape, a placement other than SMT or CMP.
 	ErrCorrupt = errors.New("smite: corrupt persisted data")
 	// ErrVersionSkew marks a file whose format version this build does not
 	// understand.
 	ErrVersionSkew = errors.New("smite: unsupported format version")
 	// ErrDimensionMismatch marks a file measured under a different sharing
-	// dimension layout (count, order, or coefficient arity) than this
-	// build's — loading it would silently mis-assign every vector slot.
+	// dimension layout (count, order, coefficient arity or Sen/Con vector
+	// length) than this build's — loading it would silently mis-assign
+	// every vector slot.
 	ErrDimensionMismatch = errors.New("smite: sharing-dimension layout mismatch")
 )
 
@@ -39,6 +40,14 @@ type profileFile struct {
 	Dimensions []string `json:"dimensions"`
 
 	Profiles []Characterization `json:"profiles"`
+}
+
+// storedProfile decodes one persisted Characterization with its vectors as
+// slices (the outer Sen/Con shadow the embedded arrays), so a vector of
+// the wrong length is caught instead of zero-padded.
+type storedProfile struct {
+	Characterization
+	Sen, Con []float64
 }
 
 // modelFile is the on-disk envelope for a trained model.
@@ -82,9 +91,13 @@ func SaveProfiles(w io.Writer, chars []Characterization) error {
 }
 
 // LoadProfiles reads characterizations written by SaveProfiles, verifying
-// the dimension layout matches this build.
+// the dimension layout, every Sen/Con length and every placement.
 func LoadProfiles(r io.Reader) ([]Characterization, error) {
-	var f profileFile
+	var f struct {
+		Version    int             `json:"version"`
+		Dimensions []string        `json:"dimensions"`
+		Profiles   []storedProfile `json:"profiles"`
+	}
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("%w: decoding profiles: %v", ErrCorrupt, err)
 	}
@@ -94,7 +107,19 @@ func LoadProfiles(r io.Reader) ([]Characterization, error) {
 	if err := checkDimensions(f.Dimensions); err != nil {
 		return nil, err
 	}
-	return f.Profiles, nil
+	out := make([]Characterization, len(f.Profiles))
+	for i, p := range f.Profiles {
+		if len(p.Sen) != int(NumDimensions) || len(p.Con) != int(NumDimensions) {
+			return nil, fmt.Errorf("%w: profile %q has %d Sen and %d Con values, want %d", ErrDimensionMismatch, p.App, len(p.Sen), len(p.Con), NumDimensions)
+		}
+		if p.Placement != SMT && p.Placement != CMP {
+			return nil, fmt.Errorf("%w: profile %q has placement %d", ErrCorrupt, p.App, p.Placement)
+		}
+		out[i] = p.Characterization
+		copy(out[i].Sen[:], p.Sen)
+		copy(out[i].Con[:], p.Con)
+	}
+	return out, nil
 }
 
 // SaveModel writes a trained model as JSON.

@@ -2,7 +2,9 @@ package smite
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -105,6 +107,8 @@ func TestLoadFailureTyping(t *testing.T) {
 		{"profiles/version-skew", strings.Replace(prof, `"version": 1`, `"version": 2`, 1), loadProfilesErr, ErrVersionSkew},
 		{"profiles/dimension-dropped", strings.Replace(prof, `    "FP_MUL(P0)",`+"\n", "", 1), loadProfilesErr, ErrDimensionMismatch},
 		{"profiles/dimension-reordered", swapFirstDims(t, prof), loadProfilesErr, ErrDimensionMismatch},
+		{"profiles/short-sen", tamperProfile(t, prof, "Sen", []float64{0.5, 0.25}), loadProfilesErr, ErrDimensionMismatch},
+		{"profiles/bad-placement", tamperProfile(t, prof, "Placement", 7), loadProfilesErr, ErrCorrupt},
 		{"model/truncated", mod[:len(mod)/3], loadModelErr, ErrCorrupt},
 		{"model/version-skew", strings.Replace(mod, `"version": 1`, `"version": 7`, 1), loadModelErr, ErrVersionSkew},
 		{"model/dimension-dropped", strings.Replace(mod, `    "FP_MUL(P0)",`+"\n", "", 1), loadModelErr, ErrDimensionMismatch},
@@ -125,6 +129,21 @@ func TestLoadFailureTyping(t *testing.T) {
 
 func loadProfilesErr(s string) error { _, err := LoadProfiles(strings.NewReader(s)); return err }
 func loadModelErr(s string) error    { _, err := LoadModel(strings.NewReader(s)); return err }
+
+// tamperProfile sets one field of the first profile in an encoded file.
+func tamperProfile(t testing.TB, s, field string, value any) string {
+	t.Helper()
+	var f map[string]any
+	if err := json.Unmarshal([]byte(s), &f); err != nil {
+		t.Fatal(err)
+	}
+	f["profiles"].([]any)[0].(map[string]any)[field] = value
+	out, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
 
 // swapFirstDims exchanges the first two dimension names in an encoded
 // file, preserving count but breaking order.
@@ -204,4 +223,84 @@ func TestLoadToleratesUnknownFields(t *testing.T) {
 	if wc != gc || wi != gi {
 		t.Error("unknown field corrupted the loaded model")
 	}
+}
+
+// sampleProfiles covers both placements and non-zero vectors and counters.
+func sampleProfiles() []Characterization {
+	chars := []Characterization{
+		{App: "a", Placement: SMT, SoloIPC: 1.5},
+		{App: "b", Placement: CMP, SoloIPC: 0.4},
+	}
+	chars[0].Sen[DimFPAdd] = 0.4
+	chars[0].SoloPMU.Instructions = 12345
+	chars[1].Con[DimL3] = -0.06
+	return chars
+}
+
+// isLoadError reports whether err carries one of the typed load errors.
+func isLoadError(err error) bool {
+	return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrDimensionMismatch)
+}
+
+// A profile file either fails with a typed error or loads to a value that
+// SaveProfiles→LoadProfiles reproduces exactly.
+func FuzzLoadProfiles(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveProfiles(&buf, sampleProfiles()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(tamperProfile(f, buf.String(), "Sen", []float64{0.5, 0.25})))
+	f.Add([]byte(tamperProfile(f, buf.String(), "Placement", 7)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := LoadProfiles(bytes.NewReader(data))
+		if err != nil {
+			if !isLoadError(err) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveProfiles(&out, got); err != nil {
+			t.Fatalf("saving a loaded file: %v", err)
+		}
+		again, err := LoadProfiles(&out)
+		if err != nil {
+			t.Fatalf("reloading a saved file: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("save→load changed the profiles:\n got: %+v\nthen: %+v", got, again)
+		}
+	})
+}
+
+// A model file either fails with a typed error or loads to a model that
+// SaveModel→LoadModel reproduces exactly.
+func FuzzLoadModel(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveModel(&buf, sampleModel()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(strings.Replace(buf.String(), "\n    0.1,", "", 1)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := LoadModel(bytes.NewReader(data))
+		if err != nil {
+			if !isLoadError(err) {
+				t.Fatalf("untyped load error: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveModel(&out, got); err != nil {
+			t.Fatalf("saving a loaded model: %v", err)
+		}
+		again, err := LoadModel(&out)
+		if err != nil {
+			t.Fatalf("reloading a saved model: %v", err)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("save→load changed the model: %+v then %+v", got, again)
+		}
+	})
 }

@@ -219,9 +219,10 @@ func WithParallelism(n int) Option {
 	return func(dst *sysOptions) { dst.opts.Parallelism = n }
 }
 
-// WithProgress installs a progress callback for batch operations: done
-// counts completed simulation cells of the current batch, total the
-// batch's cell count. It may be invoked concurrently from worker
+// WithProgress installs a progress callback that fires for every
+// characterization (a single application included) and every pair batch:
+// done counts completed simulation cells of the current call, total the
+// call's cell count. It may be invoked concurrently from worker
 // goroutines.
 func WithProgress(fn func(done, total int)) Option {
 	return func(dst *sysOptions) { dst.opts.Progress = fn }
@@ -300,7 +301,7 @@ func LoadSurrogate(path string) (*Surrogate, error) { return surrogate.ReadSetFi
 // Characterize measures an application's sensitivity and contentiousness
 // along every sharing dimension by co-locating it with each Ruler.
 func (s *System) Characterize(spec *Spec, placement Placement) (Characterization, error) {
-	return s.prof.Characterize(spec, placement)
+	return s.CharacterizeContext(context.Background(), spec, placement)
 }
 
 // CharacterizeContext is Characterize with cooperative cancellation: the
@@ -311,7 +312,7 @@ func (s *System) CharacterizeContext(ctx context.Context, spec *Spec, placement 
 
 // CharacterizeAll characterizes a batch of applications concurrently.
 func (s *System) CharacterizeAll(specs []*Spec, placement Placement) ([]Characterization, error) {
-	return s.prof.CharacterizeAll(specs, placement)
+	return s.CharacterizeAllContext(context.Background(), specs, placement)
 }
 
 // CharacterizeAllContext is CharacterizeAll with cooperative cancellation.
@@ -325,7 +326,7 @@ func (s *System) CharacterizeAllContext(ctx context.Context, specs []*Spec, plac
 // MeasurePair measures the mutual degradation of two applications — the
 // ground truth used for model training and validation.
 func (s *System) MeasurePair(a, b *Spec, placement Placement) (PairMeasurement, error) {
-	return s.prof.MeasurePair(a, b, placement)
+	return s.MeasurePairContext(context.Background(), a, b, placement)
 }
 
 // MeasurePairContext is MeasurePair with cooperative cancellation.
@@ -335,7 +336,7 @@ func (s *System) MeasurePairContext(ctx context.Context, a, b *Spec, placement P
 
 // MeasurePairs measures all distinct pairs between two sets.
 func (s *System) MeasurePairs(as, bs []*Spec, placement Placement) ([]PairMeasurement, error) {
-	return s.prof.MeasurePairs(as, bs, placement)
+	return s.MeasurePairsContext(context.Background(), as, bs, placement)
 }
 
 // MeasurePairsContext is MeasurePairs with cooperative cancellation and
@@ -385,7 +386,7 @@ func (m Model) PredictPair(victim, aggressor Characterization) float64 {
 // PredictPartial predicts a partial-occupancy co-location in which only
 // `instances` of the victim's `threads` sibling contexts receive an
 // aggressor instance. The victim characterization should be the
-// partial-occupancy profile Sen(n) (see Profiler.CharacterizeJobRulers);
+// partial-occupancy profile Sen(n) (see Profiler.CharacterizeJobRulersContext);
 // the intercept is scaled by the occupied fraction so it vanishes at
 // n = 0. This is the per-candidate formula of the CloudSuite and
 // scale-out studies, and the one the qosd daemon serves.

@@ -1,6 +1,7 @@
 package smite
 
 import (
+	"context"
 	"io"
 
 	"repro/internal/profile"
@@ -55,5 +56,5 @@ func TraceJob(name string, uops []Uop, instances int, footprintBytes ...uint64) 
 // CharacterizeJob characterizes an arbitrary job (for example a TraceJob)
 // exactly like a stock workload.
 func (s *System) CharacterizeJob(job profile.Job, placement Placement) (Characterization, error) {
-	return s.prof.CharacterizeJob(job, placement)
+	return s.prof.CharacterizeJobContext(context.Background(), job, placement)
 }
