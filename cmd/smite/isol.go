@@ -70,73 +70,9 @@ func isolCmd(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// One SMT core: the victim on context 0, the aggressor filling the
-	// siblings. The partition has exactly two parties, so the sweep
-	// isolates the mechanism from placement effects.
-	cfg := m.Config()
-	cfg.Cores = 1
-	ways := cfg.L3.Ways
-
-	points, err := parseWaysSweep(*waysFlag, ways)
+	res, err := isolSweep(ctx, w, m.Config(), vspec, aspec, *waysFlag, *throttle, opts)
 	if err != nil {
 		return err
-	}
-
-	vJob := profile.AppThreads(vspec, 1)
-	aJob := profile.AppThreads(aspec, cfg.ContextsPerCore-1)
-	vSolo, err := profile.SoloContext(ctx, cfg, vJob, opts)
-	if err != nil {
-		return err
-	}
-	aSolo, err := profile.SoloContext(ctx, cfg, aJob, opts)
-	if err != nil {
-		return err
-	}
-
-	res := isolSweepResult{
-		Machine: cfg.Name, Victim: vspec.Name, Aggressor: aspec.Name,
-		L3Ways: ways, Throttle: *throttle,
-	}
-	fmt.Fprintf(w, "partition sweep on %s (1 core, %d contexts, %d L3 ways): %s vs %s\n",
-		cfg.Name, cfg.ContextsPerCore, ways, vspec.Name, aspec.Name)
-	fmt.Fprintf(w, "%12s %12s %14s\n", "victim ways", "victim deg", "aggressor deg")
-	for _, v := range points {
-		pcfg := cfg
-		pol := isol.Policy{}
-		if v > 0 {
-			vMask, aMask := isol.SplitWays(v, ways)
-			pol.WayMasks = make([]uint64, cfg.ContextsPerCore)
-			pol.WayMasks[0] = vMask
-			for g := 1; g < cfg.ContextsPerCore; g++ {
-				pol.WayMasks[g] = aMask
-			}
-			if *throttle > 0 {
-				pol.MemBudgets = make([]isol.MemBudget, cfg.ContextsPerCore)
-				for g := 1; g < cfg.ContextsPerCore; g++ {
-					pol.MemBudgets[g] = isol.MemBudget{Tokens: 4, RefillCycles: *throttle}
-				}
-			}
-		}
-		if err := pol.Validate(pcfg.Contexts(), ways); err != nil {
-			return fmt.Errorf("isol: victim ways %d: %w", v, err)
-		}
-		pcfg.Isolation = pol
-		run, err := profile.ColocateContext(ctx, pcfg, vJob, aJob, profile.SMT, opts)
-		if err != nil {
-			return err
-		}
-		pt := isolSweepPoint{
-			VictimWays:   v,
-			VictimDeg:    profile.Degradation(vSolo.AppIPC, run.AppIPC),
-			AggressorDeg: profile.Degradation(aSolo.AppIPC, run.PartnerIPC),
-			Throttled:    v > 0 && *throttle > 0,
-		}
-		res.Points = append(res.Points, pt)
-		label := ""
-		if pt.Throttled {
-			label = "  (throttled)"
-		}
-		fmt.Fprintf(w, "%12d %11.2f%% %13.2f%%%s\n", pt.VictimWays, pt.VictimDeg*100, pt.AggressorDeg*100, label)
 	}
 
 	if *jsonOut != "" {
@@ -155,6 +91,81 @@ func isolCmd(ctx context.Context, args []string, w io.Writer) error {
 		}
 	}
 	return finishTrace()
+}
+
+// isolSweep runs the partition sweep on one core of cfg, printing the table
+// to w: the victim on context 0, the aggressor filling the siblings, one
+// co-location per victim way count (waysFlag, or the stock ladder), each
+// partitioned point also throttling the aggressor when throttle > 0.
+func isolSweep(ctx context.Context, w io.Writer, cfg smite.MachineConfig, vspec, aspec *smite.Spec, waysFlag string, throttle uint64, opts smite.Options) (isolSweepResult, error) {
+	// One SMT core: the victim on context 0, the aggressor filling the
+	// siblings. The partition has exactly two parties, so the sweep
+	// isolates the mechanism from placement effects.
+	cfg.Cores = 1
+	ways := cfg.L3.Ways
+
+	points, err := parseWaysSweep(waysFlag, ways)
+	if err != nil {
+		return isolSweepResult{}, err
+	}
+
+	vJob := profile.AppThreads(vspec, 1)
+	aJob := profile.AppThreads(aspec, cfg.ContextsPerCore-1)
+	vSolo, err := profile.SoloContext(ctx, cfg, vJob, opts)
+	if err != nil {
+		return isolSweepResult{}, err
+	}
+	aSolo, err := profile.SoloContext(ctx, cfg, aJob, opts)
+	if err != nil {
+		return isolSweepResult{}, err
+	}
+
+	res := isolSweepResult{
+		Machine: cfg.Name, Victim: vspec.Name, Aggressor: aspec.Name,
+		L3Ways: ways, Throttle: throttle,
+	}
+	fmt.Fprintf(w, "partition sweep on %s (1 core, %d contexts, %d L3 ways): %s vs %s\n",
+		cfg.Name, cfg.ContextsPerCore, ways, vspec.Name, aspec.Name)
+	fmt.Fprintf(w, "%12s %12s %14s\n", "victim ways", "victim deg", "aggressor deg")
+	for _, v := range points {
+		pcfg := cfg
+		pol := isol.Policy{}
+		if v > 0 {
+			vMask, aMask := isol.SplitWays(v, ways)
+			pol.WayMasks = make([]uint64, cfg.ContextsPerCore)
+			pol.WayMasks[0] = vMask
+			for g := 1; g < cfg.ContextsPerCore; g++ {
+				pol.WayMasks[g] = aMask
+			}
+			if throttle > 0 {
+				pol.MemBudgets = make([]isol.MemBudget, cfg.ContextsPerCore)
+				for g := 1; g < cfg.ContextsPerCore; g++ {
+					pol.MemBudgets[g] = isol.MemBudget{Tokens: 4, RefillCycles: throttle}
+				}
+			}
+		}
+		if err := pol.Validate(pcfg.Contexts(), ways); err != nil {
+			return isolSweepResult{}, fmt.Errorf("isol: victim ways %d: %w", v, err)
+		}
+		pcfg.Isolation = pol
+		run, err := profile.ColocateContext(ctx, pcfg, vJob, aJob, profile.SMT, opts)
+		if err != nil {
+			return isolSweepResult{}, err
+		}
+		pt := isolSweepPoint{
+			VictimWays:   v,
+			VictimDeg:    profile.Degradation(vSolo.AppIPC, run.AppIPC),
+			AggressorDeg: profile.Degradation(aSolo.AppIPC, run.PartnerIPC),
+			Throttled:    v > 0 && throttle > 0,
+		}
+		res.Points = append(res.Points, pt)
+		label := ""
+		if pt.Throttled {
+			label = "  (throttled)"
+		}
+		fmt.Fprintf(w, "%12d %11.2f%% %13.2f%%%s\n", pt.VictimWays, pt.VictimDeg*100, pt.AggressorDeg*100, label)
+	}
+	return res, nil
 }
 
 // parseWaysSweep resolves the -ways flag (or the stock ladder) into a

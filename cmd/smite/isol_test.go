@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/smite"
 )
 
 var update = flag.Bool("update", false, "rewrite the partition-sweep golden fixture")
@@ -70,6 +73,44 @@ func TestIsolSweepGolden(t *testing.T) {
 			t.Errorf("victim degradation rose %g -> %g as its partition grew %d -> %d ways",
 				prev.VictimDeg, cur.VictimDeg, prev.VictimWays, cur.VictimWays)
 		}
+	}
+}
+
+// TestIsolSweepChecked reruns the golden sweep with the runtime invariant
+// checker attached to every simulation, so each partitioned point is also
+// checked for fills outside a context's way mask. Checking observes and
+// never perturbs, so the sweep must still equal the golden bytes.
+func TestIsolSweepChecked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine-backed partition sweep in short mode")
+	}
+	m, opts, err := machineOptions("ivb", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Check = true
+	vspec, err := smite.WorkloadByName("web-search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aspec, err := smite.WorkloadByName("470.lbm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := isolSweep(context.Background(), io.Discard, m.Config(), vspec, aspec, "", 64, opts)
+	if err != nil {
+		t.Fatalf("checked sweep: %v", err)
+	}
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_isol_sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Errorf("checked sweep diverged from the golden:\n%s", got)
 	}
 }
 

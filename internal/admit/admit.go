@@ -59,7 +59,7 @@ func ValidateClasses(classes []Class, headroom, scaleUp, scaleDown float64) erro
 		if !(cl.Budget > 0) || math.IsInf(cl.Budget, 0) {
 			return fmt.Errorf("SLO class %q budget %g must be positive and finite", cl.Name, cl.Budget)
 		}
-		if cl.Percentile <= 0 || cl.Percentile >= 1 {
+		if !(cl.Percentile > 0 && cl.Percentile < 1) { // NaN fails too
 			return fmt.Errorf("SLO class %q percentile %g outside (0,1)", cl.Name, cl.Percentile)
 		}
 	}

@@ -6,6 +6,28 @@ import (
 	"testing"
 )
 
+// malformedClassSpecs are specs ParseClasses must reject, each with a
+// fragment its error names. FuzzParseClasses seeds its corpus from them.
+var malformedClassSpecs = []struct {
+	name, spec, frag string
+}{
+	{"empty spec", "", "empty SLO class spec"},
+	{"blank spec", "   ", "empty SLO class spec"},
+	{"empty entry", "a:20ms,,b:30ms", "empty class entry"},
+	{"missing budget", "critical", "name:budget"},
+	{"too many fields", "a:20ms:0.95:x", "name:budget"},
+	{"empty name", ":20ms", "empty name"},
+	{"duplicate name", "a:20ms,a:40ms", "duplicate class"},
+	{"bad duration", "a:bogus", "budget"},
+	{"bare number budget", "a:20", "budget"},
+	{"zero budget", "a:0s", "must be positive"},
+	{"negative budget", "a:-5ms", "must be positive"},
+	{"bad percentile", "a:20ms:fast", "percentile"},
+	{"percentile zero", "a:20ms:0", "outside (0,1)"},
+	{"percentile one", "a:20ms:1", "outside (0,1)"},
+	{"percentile NaN", "a:20ms:NaN", "outside (0,1)"},
+}
+
 func TestParseClasses(t *testing.T) {
 	t.Run("canonical spec", func(t *testing.T) {
 		classes, err := ParseClasses("critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90")
@@ -36,25 +58,7 @@ func TestParseClasses(t *testing.T) {
 		}
 	})
 
-	malformed := []struct {
-		name, spec, frag string
-	}{
-		{"empty spec", "", "empty SLO class spec"},
-		{"blank spec", "   ", "empty SLO class spec"},
-		{"empty entry", "a:20ms,,b:30ms", "empty class entry"},
-		{"missing budget", "critical", "name:budget"},
-		{"too many fields", "a:20ms:0.95:x", "name:budget"},
-		{"empty name", ":20ms", "empty name"},
-		{"duplicate name", "a:20ms,a:40ms", "duplicate class"},
-		{"bad duration", "a:bogus", "budget"},
-		{"bare number budget", "a:20", "budget"},
-		{"zero budget", "a:0s", "must be positive"},
-		{"negative budget", "a:-5ms", "must be positive"},
-		{"bad percentile", "a:20ms:fast", "percentile"},
-		{"percentile zero", "a:20ms:0", "outside (0,1)"},
-		{"percentile one", "a:20ms:1", "outside (0,1)"},
-	}
-	for _, tc := range malformed {
+	for _, tc := range malformedClassSpecs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseClasses(tc.spec)
 			if err == nil || !strings.Contains(err.Error(), tc.frag) {
@@ -144,4 +148,29 @@ func TestSaturationSignal(t *testing.T) {
 			t.Errorf("SaturationSignal(%g) = %s, want %s", tc.rate, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseClasses: ParseClasses on arbitrary input returns an error or a
+// class set that ValidateClasses accepts, with every budget positive and
+// finite and every percentile inside (0,1); it never panics.
+func FuzzParseClasses(f *testing.F) {
+	f.Add("critical:20ms:0.95,standard:60ms:0.95,sheddable:150ms:0.90")
+	f.Add("gold: 1500ms ")
+	for _, tc := range malformedClassSpecs {
+		f.Add(tc.spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		classes, err := ParseClasses(spec)
+		if err != nil {
+			return
+		}
+		if err := ValidateClasses(classes, 0, DefaultScaleUpThreshold, DefaultScaleDownThreshold); err != nil {
+			t.Fatalf("ParseClasses(%q) accepted a set ValidateClasses rejects: %v", spec, err)
+		}
+		for _, cl := range classes {
+			if !(cl.Budget > 0) || math.IsInf(cl.Budget, 0) || !(cl.Percentile > 0 && cl.Percentile < 1) {
+				t.Fatalf("ParseClasses(%q) accepted class %+v", spec, cl)
+			}
+		}
+	})
 }

@@ -343,6 +343,10 @@ func run(ctx context.Context, cfg isa.Config, job, partner Job, placement Placem
 			return res.clone(), nil
 		}
 	}
+	if opts.Cache != nil {
+		// Sampled runs and jobs without a fingerprint still show in Stats.
+		opts.Cache.Bypass()
+	}
 	return simulate(ctx, cfg, job, partner, placement, opts)
 }
 

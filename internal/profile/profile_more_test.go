@@ -111,6 +111,32 @@ func TestSoloRunIgnoresJobName(t *testing.T) {
 	}
 }
 
+// Runs the cache cannot serve are counted, not hidden: a closure-backed
+// StreamJob has no fingerprint, so each solo simulates and counts as a
+// bypass, while a fingerprinted App job goes through the cache.
+func TestCacheStatsCountBypasses(t *testing.T) {
+	p := NewProfiler(batchConfig(), batchOptions())
+	namd := App(mustSpec(t, "444.namd"))
+	stream := StreamJob("namd-stream", 1, namd.NewStream)
+	for i := 0; i < 3; i++ {
+		if _, err := p.SoloRunContext(context.Background(), stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.CacheStats(); st.Bypasses != 3 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("after 3 StreamJob solos: stats = %+v, want 3 bypasses, 0 hits, 0 misses", st)
+	}
+	app := NewProfiler(batchConfig(), batchOptions())
+	for i := 0; i < 2; i++ {
+		if _, err := app.SoloRunContext(context.Background(), namd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := app.CacheStats(); st.Bypasses != 0 || st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("after 2 App solos: stats = %+v, want 0 bypasses, 1 hit, 1 miss", st)
+	}
+}
+
 func TestCharacterizationDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in short mode")

@@ -107,41 +107,64 @@ func (c *Cache) Access(addr uint64, allocate bool) bool {
 		}
 	}
 	c.misses++
-
-	// Victim selection: first invalid way, else first-oldest stamp (same
-	// choice the former combined scan made).
-	victim := base
-	haveInvalid := false
-	for i, t := range tags {
-		if t == invalidTag {
-			victim = base + i
-			haveInvalid = true
-			break
-		}
-	}
-	if !haveInvalid {
-		oldest := ^uint64(0)
-		stamps := c.stamp[base : base+c.ways]
-		for i, s := range stamps {
-			if s < oldest {
-				victim = base + i
-				oldest = s
-			}
-		}
-		if c.policy == isa.PolicyRandom {
-			victim = base + c.rng.Intn(c.ways)
-		}
-	}
+	victim, invalid := c.victim(base)
 	if allocate {
-		if haveInvalid {
-			c.lines++
-		} else {
-			c.evicts++
-		}
-		c.tags[victim] = tag
-		c.stamp[victim] = c.clock
+		c.install(victim, invalid, tag)
 	}
 	return false
+}
+
+// Fill installs addr as a known miss: it is Access(addr, true) for a line
+// the caller guarantees is not resident, so the hit scan is skipped. Tags,
+// LRU stamps, clock, tallies and random-replacement draws are exactly those
+// Access would produce. Chip.Prewarm's bulk footprint install relies on it;
+// filling a resident line would duplicate it.
+func (c *Cache) Fill(addr uint64) {
+	c.clock++
+	c.accesses++
+	c.misses++
+	line := addr >> c.lineShift
+	victim, invalid := c.victim(int(line&c.setMask) * c.ways)
+	c.install(victim, invalid, line)
+}
+
+// victim picks the way a miss in the set at base would fill: the first
+// invalid way, else the first-oldest stamp under LRU or a uniform draw
+// under PolicyRandom. Once every line is valid the invalid-way scan cannot
+// succeed and is skipped; a random draw makes the LRU scan moot, so it runs
+// only under LRU.
+func (c *Cache) victim(base int) (victim int, invalid bool) {
+	if c.lines < len(c.tags) {
+		for i, t := range c.tags[base : base+c.ways] {
+			if t == invalidTag {
+				return base + i, true
+			}
+		}
+	}
+	if c.policy == isa.PolicyRandom {
+		return base + c.rng.Intn(c.ways), false
+	}
+	victim = base
+	oldest := ^uint64(0)
+	for i, s := range c.stamp[base : base+c.ways] {
+		if s < oldest {
+			victim = base + i
+			oldest = s
+		}
+	}
+	return victim, false
+}
+
+// install writes tag into way i, counting a fill of an invalid way as a new
+// line and any other fill as an eviction.
+func (c *Cache) install(i int, invalid bool, tag uint64) {
+	if invalid {
+		c.lines++
+	} else {
+		c.evicts++
+	}
+	c.tags[i] = tag
+	c.stamp[i] = c.clock
 }
 
 // AccessMasked is Access with Intel CAT semantics: the lookup hits in any
@@ -168,50 +191,58 @@ func (c *Cache) AccessMasked(addr uint64, allocate bool, mask uint64) bool {
 		}
 	}
 	c.misses++
+	victim, invalid := c.victimMasked(base, mask)
+	if allocate && victim >= 0 {
+		c.install(victim, invalid, tag)
+	}
+	return false
+}
 
-	victim := -1
-	haveInvalid := false
-	for i, t := range tags {
+// FillMasked is Fill under a CAT way mask: AccessMasked(addr, true, mask)
+// for a line the caller guarantees is not resident anywhere in its set.
+func (c *Cache) FillMasked(addr, mask uint64) {
+	c.clock++
+	c.accesses++
+	c.misses++
+	line := addr >> c.lineShift
+	if victim, invalid := c.victimMasked(int(line&c.setMask)*c.ways, mask); victim >= 0 {
+		c.install(victim, invalid, line)
+	}
+}
+
+// victimMasked is victim restricted to the ways set in mask; it returns -1
+// when mask owns no real way. A random draw picks the k-th owned way.
+func (c *Cache) victimMasked(base int, mask uint64) (victim int, invalid bool) {
+	if c.lines < len(c.tags) {
+		for i, t := range c.tags[base : base+c.ways] {
+			if mask&(1<<uint(i)) != 0 && t == invalidTag {
+				return base + i, true
+			}
+		}
+	}
+	if c.policy == isa.PolicyRandom {
+		owned := bits.OnesCount64(mask & (uint64(1)<<uint(c.ways) - 1))
+		if owned == 0 {
+			return -1, false
+		}
+		m := mask
+		for k := c.rng.Intn(owned); k > 0; k-- {
+			m &= m - 1
+		}
+		return base + bits.TrailingZeros64(m), false
+	}
+	victim = -1
+	oldest := ^uint64(0)
+	for i := 0; i < c.ways; i++ {
 		if mask&(1<<uint(i)) == 0 {
 			continue
 		}
-		if t == invalidTag {
+		if s := c.stamp[base+i]; s < oldest {
 			victim = base + i
-			haveInvalid = true
-			break
+			oldest = s
 		}
 	}
-	if !haveInvalid {
-		oldest := ^uint64(0)
-		for i := 0; i < c.ways; i++ {
-			if mask&(1<<uint(i)) == 0 {
-				continue
-			}
-			if s := c.stamp[base+i]; s < oldest {
-				victim = base + i
-				oldest = s
-			}
-		}
-		if victim >= 0 && c.policy == isa.PolicyRandom {
-			owned := bits.OnesCount64(mask & (uint64(1)<<uint(c.ways) - 1))
-			k := c.rng.Intn(owned)
-			m := mask
-			for ; k > 0; k-- {
-				m &= m - 1
-			}
-			victim = base + bits.TrailingZeros64(m)
-		}
-	}
-	if allocate && victim >= 0 {
-		if haveInvalid {
-			c.lines++
-		} else {
-			c.evicts++
-		}
-		c.tags[victim] = tag
-		c.stamp[victim] = c.clock
-	}
-	return false
+	return victim, false
 }
 
 // Contains reports whether addr is currently resident, without touching LRU
@@ -227,6 +258,16 @@ func (c *Cache) Contains(addr uint64) bool {
 		}
 	}
 	return false
+}
+
+// LineAt reports the line held in flat slot i (set i/Ways(), way
+// i%Ways()), as the address of its first byte, and whether the slot is
+// valid. Intended for invariant checks that must attribute lines to ways.
+func (c *Cache) LineAt(i int) (addr uint64, ok bool) {
+	if t := c.tags[i]; t != invalidTag {
+		return t << c.lineShift, true
+	}
+	return 0, false
 }
 
 // Stats returns cumulative hit/miss/eviction counts.
@@ -255,8 +296,8 @@ func (c *Cache) ResetStats() {
 func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.stamp[i] = 0
 	}
+	clear(c.stamp)
 	c.lines = 0
 	c.clock = 0
 	c.ResetStats()

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/bits"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -291,5 +293,190 @@ func TestAccessMaskedHitsAnywhere(t *testing.T) {
 	// The line sits in a high way; a context owning only low ways hits it.
 	if !c.AccessMasked(addr, true, 0x0f) {
 		t.Fatal("cross-partition lookup missed a resident line")
+	}
+}
+
+// refAccess is Access as it stood before victim selection skipped scans
+// whose result cannot matter: the invalid-way scan always runs, and the LRU
+// stamp scan runs even when a random draw then replaces its choice.
+func (c *Cache) refAccess(addr uint64, allocate bool) bool {
+	c.clock++
+	c.accesses++
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == line {
+			c.hits++
+			c.stamp[i] = c.clock
+			return true
+		}
+	}
+	c.misses++
+	victim, haveInvalid := base, false
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == invalidTag {
+			victim, haveInvalid = i, true
+			break
+		}
+	}
+	if !haveInvalid {
+		oldest := ^uint64(0)
+		for i := base; i < base+c.ways; i++ {
+			if c.stamp[i] < oldest {
+				victim, oldest = i, c.stamp[i]
+			}
+		}
+		if c.policy == isa.PolicyRandom {
+			victim = base + c.rng.Intn(c.ways)
+		}
+	}
+	if allocate {
+		if haveInvalid {
+			c.lines++
+		} else {
+			c.evicts++
+		}
+		c.tags[victim] = line
+		c.stamp[victim] = c.clock
+	}
+	return false
+}
+
+// refAccessMasked is AccessMasked as it stood before the same change.
+func (c *Cache) refAccessMasked(addr uint64, allocate bool, mask uint64) bool {
+	c.clock++
+	c.accesses++
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == line {
+			c.hits++
+			c.stamp[i] = c.clock
+			return true
+		}
+	}
+	c.misses++
+	victim, haveInvalid := -1, false
+	for i := 0; i < c.ways; i++ {
+		if mask&(1<<uint(i)) != 0 && c.tags[base+i] == invalidTag {
+			victim, haveInvalid = base+i, true
+			break
+		}
+	}
+	if !haveInvalid {
+		oldest := ^uint64(0)
+		for i := 0; i < c.ways; i++ {
+			if mask&(1<<uint(i)) != 0 && c.stamp[base+i] < oldest {
+				victim, oldest = base+i, c.stamp[base+i]
+			}
+		}
+		if victim >= 0 && c.policy == isa.PolicyRandom {
+			k := c.rng.Intn(bits.OnesCount64(mask & (uint64(1)<<uint(c.ways) - 1)))
+			m := mask
+			for ; k > 0; k-- {
+				m &= m - 1
+			}
+			victim = base + bits.TrailingZeros64(m)
+		}
+	}
+	if allocate && victim >= 0 {
+		if haveInvalid {
+			c.lines++
+		} else {
+			c.evicts++
+		}
+		c.tags[victim] = line
+		c.stamp[victim] = c.clock
+	}
+	return false
+}
+
+// wayOf returns the way holding addr's line, or -1.
+func (c *Cache) wayOf(addr uint64) int {
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	for i := 0; i < c.ways; i++ {
+		if c.tags[base+i] == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestRandomMissVictimSequence: skipping the stamp scan a random draw
+// overrides, and the invalid-way scan once every line is valid, changes no
+// victim. Over 10⁵ seeded misses (plus the hits between them) the new
+// Access and AccessMasked fill the same ways as the former code and leave
+// the same state, RNG position included.
+func TestRandomMissVictimSequence(t *testing.T) {
+	p := isa.CacheParams{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, Policy: isa.PolicyRandom}
+	for _, masked := range []bool{false, true} {
+		got, want := New("rand", p), New("rand", p)
+		rng := xrand.New(0x5eed)
+		misses := 0
+		for misses < 100_000 {
+			addr := rng.Uint64n(1 << 18)
+			mask := uint64(1)<<8 - 1
+			if masked {
+				mask = rng.Uint64n(1 << 8) // includes masks owning no way
+			}
+			allocate := rng.Intn(16) != 0
+			var hg, hw bool
+			if masked {
+				hg, hw = got.AccessMasked(addr, allocate, mask), want.refAccessMasked(addr, allocate, mask)
+			} else {
+				hg, hw = got.Access(addr, allocate), want.refAccess(addr, allocate)
+			}
+			if hg != hw || got.wayOf(addr) != want.wayOf(addr) {
+				t.Fatalf("masked=%v access %#x: hit %v way %d, former code hit %v way %d",
+					masked, addr, hg, got.wayOf(addr), hw, want.wayOf(addr))
+			}
+			if !hg {
+				misses++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("masked=%v: state diverged from the former code after %d misses", masked, misses)
+		}
+		if _, _, e := got.Stats(); e == 0 {
+			t.Errorf("masked=%v: no evictions, the random draw was never exercised", masked)
+		}
+	}
+}
+
+// TestFillMatchesAccessMiss: Fill and FillMasked on a line that is not
+// resident leave exactly the state Access and AccessMasked leave on that
+// miss, under both policies and arbitrary CAT masks.
+func TestFillMatchesAccessMiss(t *testing.T) {
+	for _, pol := range []isa.ReplacementPolicy{isa.PolicyLRU, isa.PolicyRandom} {
+		p := isa.CacheParams{SizeBytes: 16 << 10, Ways: 8, LineBytes: 64, Policy: pol}
+		for _, masked := range []bool{false, true} {
+			filled, accessed := New("fill", p), New("fill", p)
+			rng := xrand.New(11)
+			fills := 0
+			for i := 0; i < 100_000; i++ {
+				addr := rng.Uint64n(1 << 17)
+				mask := rng.Uint64n(1 << 8)
+				switch resident := accessed.Contains(addr); {
+				case resident && masked:
+					filled.AccessMasked(addr, true, mask)
+					accessed.AccessMasked(addr, true, mask)
+				case resident:
+					filled.Access(addr, true)
+					accessed.Access(addr, true)
+				case masked:
+					filled.FillMasked(addr, mask)
+					accessed.AccessMasked(addr, true, mask)
+					fills++
+				default:
+					filled.Fill(addr)
+					accessed.Access(addr, true)
+					fills++
+				}
+			}
+			if !reflect.DeepEqual(filled, accessed) {
+				t.Errorf("policy %d masked=%v: Fill diverged from a missing Access over %d fills", pol, masked, fills)
+			}
+		}
 	}
 }

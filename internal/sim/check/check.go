@@ -21,6 +21,12 @@
 //     L1 misses, L3 lookups == L2 misses, DRAM accesses == L3 misses).
 //   - Cycle accounting: an active context's cycle counter tracks chip time
 //     exactly; an idle context's counters stay frozen.
+//   - Isolation confinement: under a CAT way partition every valid L3 line
+//     sits in a way its owning context's mask allows (a context hits
+//     anywhere but fills only inside its mask). The owner is recovered
+//     from the line's address (engine.OwnerOf). Scanning the whole L3 is
+//     too costly for every interval, so this law is checked when counter
+//     baselines move (OnReset) and at the end of each Run window.
 //
 // Violations are returned as structured *Violation errors naming the cycle,
 // core, context and counter; the engine latches the first one (see
@@ -92,6 +98,11 @@ type Checker struct {
 	caches    []cacheSnap
 	memReqs   uint64
 
+	// reported counts the Violations already returned to the engine, so one
+	// found by OnReset (which cannot return it) is returned by the next
+	// OnCycle or OnWindowEnd.
+	reported int
+
 	// Violations accumulates every violation seen (the engine additionally
 	// latches the first); Checks counts OnCycle invocations.
 	Violations []*Violation
@@ -153,6 +164,23 @@ func (k *Checker) OnReset(c *engine.Chip) {
 	reqs, _, _ := c.Memory().Stats()
 	k.memReqs = reqs
 	k.baselined = true
+	k.checkIsolation(c)
+}
+
+// OnWindowEnd validates the invariants checked once per Run window.
+func (k *Checker) OnWindowEnd(c *engine.Chip) error {
+	k.checkIsolation(c)
+	return k.unreported()
+}
+
+// unreported returns the first violation not yet returned to the engine.
+func (k *Checker) unreported() error {
+	if len(k.Violations) == k.reported {
+		return nil
+	}
+	v := k.Violations[k.reported]
+	k.reported = len(k.Violations)
+	return v
 }
 
 // OnCycle validates every invariant against the last snapshot, then
@@ -164,7 +192,6 @@ func (k *Checker) OnCycle(c *engine.Chip) error {
 		return nil
 	}
 	k.Checks++
-	before := len(k.Violations)
 	cfg := c.Config()
 	now := c.Cycle()
 	dCycles := now - k.cycle
@@ -186,11 +213,7 @@ func (k *Checker) OnCycle(c *engine.Chip) error {
 	// Re-baseline the rolling snapshots (keeping baseRetired fixed: the
 	// Instructions/retirement tie is cumulative since the last reset).
 	k.resnap(c)
-
-	if len(k.Violations) > before {
-		return k.Violations[before]
-	}
-	return nil
+	return k.unreported()
 }
 
 // resnap refreshes the rolling per-context and per-cache snapshots without
@@ -393,6 +416,34 @@ func (k *Checker) checkCaches(c *engine.Chip, now uint64) {
 				Counter: ca.Name(),
 				Detail:  fmt.Sprintf("%d lines present exceed capacity %d", lines, capacity),
 			})
+		}
+	}
+}
+
+// checkIsolation validates CAT confinement: each valid L3 line sits in a
+// way its owner's mask allows. It records at most one violation per scan
+// and costs nothing unless an isolation policy is configured.
+func (k *Checker) checkIsolation(c *engine.Chip) {
+	cfg := c.Config()
+	l3 := c.L3()
+	if !cfg.Isolation.Enabled() || l3.LineCount() == 0 {
+		return
+	}
+	ways := l3.Ways()
+	for i := 0; i < l3.Sets()*ways; i++ {
+		addr, ok := l3.LineAt(i)
+		if !ok {
+			continue
+		}
+		g, way := engine.OwnerOf(addr), i%ways
+		if mask := cfg.Isolation.WayMaskFor(g, ways); mask&(1<<uint(way)) == 0 {
+			k.record(&Violation{
+				Invariant: "isolation-confinement", Cycle: c.Cycle(),
+				Core: g / cfg.ContextsPerCore, Context: g % cfg.ContextsPerCore,
+				Counter: l3.Name(),
+				Detail:  fmt.Sprintf("line %#x sits in way %d, outside its owner's way mask %#x", addr, way, mask),
+			})
+			return
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/isol"
 	"repro/internal/profile"
 	"repro/internal/rulers"
 	"repro/internal/sim/check"
@@ -200,5 +201,74 @@ func TestCheckerSurvivesReassignment(t *testing.T) {
 	}
 	if k.Checks == 0 {
 		t.Fatal("checker never ran")
+	}
+}
+
+// partitionedIVB is twoCoreIVB with a CAT split on core 0: context 0 owns
+// the low quarter of the L3 ways, its sibling the rest.
+func partitionedIVB() (cfg isa.Config, victim, aggressor uint64) {
+	cfg = twoCoreIVB()
+	victim, aggressor = isol.SplitWays(cfg.L3.Ways/4, cfg.L3.Ways)
+	cfg.Isolation = isol.Policy{WayMasks: []uint64{victim, aggressor}}
+	return cfg, victim, aggressor
+}
+
+// TestCheckerCatchesFillOutsideWayMask: a partitioned run is clean, and a
+// line of context 0 filled through its sibling's mask — the leak a broken
+// CAT path would cause — is reported as an isolation-confinement violation
+// naming context 0, both at the next counter reset and at the end of a
+// Run window.
+func TestCheckerCatchesFillOutsideWayMask(t *testing.T) {
+	cfg, _, aggressor := partitionedIVB()
+	mcf, err := workload.ByName("429.mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Context 0's address space starts at 1<<44; this line is far above
+	// anything mcf touches, so the access is a miss that allocates.
+	leak := uint64(1)<<44 | 1<<40
+	for _, via := range []string{"reset", "window"} {
+		t.Run(via, func(t *testing.T) {
+			chip, k := runWorkload(t, cfg, func(chip *engine.Chip) {
+				chip.Assign(0, 0, workload.NewGen(mcf, 7))
+				chip.Assign(0, 1, rulers.For(cfg, rulers.DimL3).NewStream(11))
+			})
+			if err := chip.CheckErr(); err != nil {
+				t.Fatalf("partitioned run not clean: %v", err)
+			}
+			if engine.OwnerOf(leak) != 0 {
+				t.Fatalf("OwnerOf(%#x) = %d, want 0", leak, engine.OwnerOf(leak))
+			}
+			chip.L3().AccessMasked(leak, true, aggressor)
+			if via == "reset" {
+				chip.ResetCounters()
+				if len(k.Violations) == 0 {
+					t.Fatal("ResetCounters did not check confinement")
+				}
+			}
+			chip.Run(100)
+			err := chip.CheckErr()
+			var v *check.Violation
+			if !errors.As(err, &v) {
+				t.Fatalf("leaked fill not reported: %v", err)
+			}
+			if v.Invariant != "isolation-confinement" || v.Core != 0 || v.Context != 0 || v.Counter != "L3" {
+				t.Errorf("wrong attribution: %v", v)
+			}
+		})
+	}
+}
+
+// TestIsolationCheckOnlyWhenPartitioned: without an isolation policy the
+// same out-of-mask fill is no violation — every way is every context's.
+func TestIsolationCheckOnlyWhenPartitioned(t *testing.T) {
+	cfg := twoCoreIVB()
+	_, aggressor := isol.SplitWays(cfg.L3.Ways/4, cfg.L3.Ways)
+	chip := engine.MustNew(cfg)
+	check.Attach(chip, 256)
+	chip.L3().AccessMasked(uint64(1)<<44, true, aggressor)
+	chip.Run(100)
+	if err := chip.CheckErr(); err != nil {
+		t.Errorf("unpartitioned chip reported %v", err)
 	}
 }

@@ -49,9 +49,13 @@ type Stream interface {
 // FootprintDeclarer is an optional Stream extension: streams that keep
 // byte ranges resident over a long execution declare their sizes (regions
 // all start at the stream's address 0 and nest, so only sizes are needed).
-// Chip.Prewarm installs qualifying regions directly into the cache
-// hierarchy, approximating the steady-state residency that minutes of real
-// execution would establish but short simulation windows cannot.
+// Chip.Prewarm installs the largest one, within a max-min fair share of
+// the L3, straight into the context's DTLB and the cache hierarchy,
+// approximating the steady-state residency that minutes of real execution
+// would establish but short simulation windows cannot. The install leaves
+// exactly the state a line-by-line load walk over the region would; it
+// never calls Next, so declaring a footprint consumes none of the
+// stream's randomness.
 type FootprintDeclarer interface {
 	// PrewarmFootprint returns region sizes in bytes, measured from the
 	// stream's address 0.
@@ -274,12 +278,24 @@ type Core struct {
 // OnCycle is called with the chip after a cycle completes — every
 // CheckInterval cycles and once more when a Run window ends (the retire
 // barrier) — and returns a structured error describing the first invariant
-// violation found, or nil. OnReset is called whenever counter baselines
-// move (Assign, ResetCounters) so the checker can re-snapshot.
+// violation found, or nil. OnWindowEnd follows that last OnCycle, once per
+// Run window, for invariants too costly to evaluate every interval (it
+// returns violations the same way). OnReset is called whenever counter
+// baselines move (Assign, ResetCounters) so the checker can re-snapshot.
 type Checker interface {
 	OnCycle(c *Chip) error
+	OnWindowEnd(c *Chip) error
 	OnReset(c *Chip)
 }
+
+// addrSpaceShift places each hardware context's addresses in a disjoint
+// space: global context g owns [(g+1)<<addrSpaceShift, (g+2)<<addrSpaceShift).
+const addrSpaceShift = 44
+
+// OwnerOf returns the global context index (core*ContextsPerCore + context)
+// whose address space holds addr, so a checker can attribute a resident
+// cache line to the context that installed it.
+func OwnerOf(addr uint64) int { return int(addr>>addrSpaceShift) - 1 }
 
 // Sampler is the observability hook the timeline recorder
 // (internal/obs/timeline) implements. OnSample fires at RunContext slice
@@ -335,6 +351,17 @@ type isoState struct {
 func New(cfg isa.Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	// Prewarm installs footprints at the L3 line stride, which is exact only
+	// while no private cache line spans two of its addresses.
+	private := []isa.CacheParams{cfg.L1D, cfg.L2}
+	for _, cl := range cfg.Classes {
+		private = append(private, cl.L1D, cl.L2)
+	}
+	for _, p := range private {
+		if p.LineBytes > cfg.L3.LineBytes {
+			return nil, fmt.Errorf("engine: config %q: private cache line %d bytes exceeds the L3 line %d", cfg.Name, p.LineBytes, cfg.L3.LineBytes)
+		}
 	}
 	c := &Chip{
 		cfg:  cfg,
@@ -400,7 +427,7 @@ func New(cfg isa.Config) (*Chip, error) {
 				robMask:  uint64(cfg.ROBSize - 1),
 				awake:    make([]uint64, (cfg.ROBSize+63)/64),
 				wheel:    make([]uint64, 64*((cfg.ROBSize+63)/64)),
-				addrBase: (uint64(gid) + 1) << 44,
+				addrBase: (uint64(gid) + 1) << addrSpaceShift,
 				brSalt:   uint32(gid+1) * 0x9E3779B9,
 				missFree: make([]uint64, 0, cfg.MSHRsPerContext),
 				// The DTLB is statically partitioned between the core's
@@ -646,8 +673,28 @@ func (c *Chip) CoreL2(core int) *cache.Cache { return c.cores[core].l2 }
 // warm regions) that timed warm-up windows cannot touch often enough.
 // Counter pollution is removed by the ResetCounters call that starts every
 // measurement window.
+//
+// Prewarm needs a cold chip: one fresh from New or Reset, on which only
+// Assign (and SetChecker/SetSampler) has run. Its first step, the declared
+// footprint install, is exact only when every cache starts empty (see
+// installFootprints), so Prewarm panics when any cache holds a line, the
+// way Assign panics on an out-of-range context.
 func (c *Chip) Prewarm(n int) {
-	c.prewarmFootprints()
+	if lines := c.l3.LineCount(); lines != 0 {
+		panic(fmt.Sprintf("engine: Prewarm needs a cold chip (New or Reset), but the L3 holds %d lines", lines))
+	}
+	for _, co := range c.cores {
+		if co.l1d.LineCount() != 0 || co.l2.LineCount() != 0 {
+			panic(fmt.Sprintf("engine: Prewarm needs a cold chip (New or Reset), but core %d's caches hold lines", co.idx))
+		}
+	}
+	c.installFootprints(c.footprintJobs())
+	c.prewarmUops(n)
+}
+
+// prewarmUops is Prewarm's functional phase: n micro-ops from every active
+// context, round-robin in chunks, through the predictor, DTLBs and caches.
+func (c *Chip) prewarmUops(n int) {
 	const chunk = 64
 	for done := 0; done < n; done += chunk {
 		for _, co := range c.cores {
@@ -682,22 +729,21 @@ func (c *Chip) Prewarm(n int) {
 	}
 }
 
-// prewarmFootprints installs each active context's declared resident
-// regions into its core's caches and the L3. A region qualifies when it
-// fits within twice the L3 capacity (larger regions have no steady-state
-// residency to model). Regions nest at address 0, so only the largest
-// qualifying size is walked. The job on context 0 is installed before its
-// sibling on context 1, matching the steady state in which the
-// higher-rate co-runner (a Ruler) owns contended lines.
-func (c *Chip) prewarmFootprints() {
-	line := uint64(c.cfg.L3.LineBytes)
-	type job struct {
-		co   *Core
-		x    *Context
-		size uint64
-		pos  uint64
-	}
-	var jobs []job
+// footprintJob is one context's declared resident region, as installed by
+// Prewarm: the first size bytes of the context's address space, of which
+// the install has reached pos.
+type footprintJob struct {
+	co        *Core
+	x         *Context
+	size, pos uint64
+}
+
+// footprintJobs lists each active FootprintDeclarer context's install
+// budget, core-major. Regions nest at address 0, so only the largest
+// declared size counts; budgets are capped at the L3 capacity and share it
+// max-min fairly.
+func (c *Chip) footprintJobs() []footprintJob {
+	var jobs []footprintJob
 	for _, co := range c.cores {
 		for _, x := range co.ctxs {
 			if x == nil || !x.active {
@@ -714,12 +760,9 @@ func (c *Chip) prewarmFootprints() {
 				}
 			}
 			if size > 0 {
-				jobs = append(jobs, job{co: co, x: x, size: size})
+				jobs = append(jobs, footprintJob{co: co, x: x, size: size})
 			}
 		}
-	}
-	if len(jobs) == 0 {
-		return
 	}
 	// Allocate installation budgets max-min fairly within the L3 capacity:
 	// contexts with small resident sets install them fully (a small,
@@ -758,29 +801,61 @@ func (c *Chip) prewarmFootprints() {
 			}
 		}
 	}
-	// Interleave installs across contexts in chunks so shared-cache LRU
-	// starts from a fair mixture rather than last-writer-wins.
-	const chunk = 16
-	for {
-		busy := false
-		for j := range jobs {
-			jb := &jobs[j]
-			for n := uint64(0); n < chunk && jb.pos < jb.size; n++ {
-				a := jb.x.addrBase | jb.pos
-				jb.x.dtlb.Access(a)
-				if !jb.co.l1d.Access(a, true) {
-					if !jb.co.l2.Access(a, true) {
-						c.l3Access(jb.x, a)
-					}
-				}
-				jb.pos += line
-			}
-			if jb.pos < jb.size {
-				busy = true
+	return jobs
+}
+
+// footprintChunk is the interleaving grain of the footprint install: jobs
+// take turns installing this many lines each, so shared-cache state starts
+// from a fair mixture rather than last-writer-wins.
+const footprintChunk = 16
+
+// installFootprints installs each job's region, one L3 line at a time from
+// address 0, into its context's DTLB, its core's L1D and L2 and the L3.
+// Jobs take turns in footprintChunk-line chunks in job order, so the job on
+// context 0 installs before its sibling on context 1, matching the steady
+// state in which the higher-rate co-runner (a Ruler) owns contended lines.
+//
+// The install writes the state the line-by-line lookup walk (Access at
+// every level on each line) would leave, without the lookups. On a cold
+// chip every footprint line is a compulsory miss at every level: contexts
+// own disjoint address spaces (addrBase), each job's addresses strictly
+// increase, and New rejects caches whose line is larger than the L3's, so
+// no two walked addresses share a line at any level. A miss whose line is
+// known absent needs no hit scan (Cache.Fill). Each DTLB is private to its
+// context and sees only that job's ascending pages, so a page's touches
+// are one probe followed by hits (TLB.AccessN). The caches still see every
+// fill in the walk's order, which keeps LRU stamps, the random-replacement
+// draws and the CAT-masked victims (Cache.FillMasked) exactly the walk's.
+func (c *Chip) installFootprints(jobs []footprintJob) {
+	line := uint64(c.cfg.L3.LineBytes)
+	page := uint64(c.cfg.PageBytes)
+	for _, jb := range jobs {
+		// The walk touches the multiples of line below size; those in
+		// [p, p+page) share one translation.
+		for p := uint64(0); p < jb.size; p += page {
+			first := (p + line - 1) / line * line
+			end := min(p+page, jb.size)
+			if first < end {
+				jb.x.dtlb.AccessN(jb.x.addrBase|first, (end-first+line-1)/line)
 			}
 		}
-		if !busy {
-			return
+	}
+	for busy := true; busy; {
+		busy = false
+		for j := range jobs {
+			jb := &jobs[j]
+			stop := min(jb.pos+footprintChunk*line, jb.size)
+			for ; jb.pos < stop; jb.pos += line {
+				a := jb.x.addrBase | jb.pos
+				jb.co.l1d.Fill(a)
+				jb.co.l2.Fill(a)
+				if c.iso == nil {
+					c.l3.Fill(a)
+				} else {
+					c.l3.FillMasked(a, c.iso.wayMask[jb.x.gid])
+				}
+			}
+			busy = busy || jb.pos < jb.size
 		}
 	}
 }
@@ -828,6 +903,9 @@ func (c *Chip) Run(cycles uint64) {
 	}
 	if c.checker != nil {
 		c.runCheck()
+		if err := c.checker.OnWindowEnd(c); err != nil && c.checkErr == nil {
+			c.checkErr = err
+		}
 	}
 }
 

@@ -122,8 +122,9 @@ func TestResetClearsChecker(t *testing.T) {
 
 type failingChecker struct{}
 
-func (failingChecker) OnCycle(c *Chip) error { return errAlwaysFails }
-func (failingChecker) OnReset(c *Chip)       {}
+func (failingChecker) OnCycle(c *Chip) error     { return errAlwaysFails }
+func (failingChecker) OnWindowEnd(c *Chip) error { return errAlwaysFails }
+func (failingChecker) OnReset(c *Chip)           {}
 
 var errAlwaysFails = &checkerError{}
 

@@ -69,6 +69,23 @@ func (t *TLB) Entries() int { return len(t.pages) }
 
 // Access translates addr, filling on a miss, and returns true on a hit.
 func (t *TLB) Access(addr uint64) bool {
+	_, hit := t.access(addr)
+	return hit
+}
+
+// AccessN is n ≥ 1 back-to-back Access(addr) calls in closed form: one
+// probe, then n-1 hits on the entry the probe left resident (the most
+// recently used one, which nothing can evict between the touches). Pages,
+// stamps, clock and counters end exactly as the n calls leave them.
+func (t *TLB) AccessN(addr, n uint64) {
+	i, _ := t.access(addr)
+	t.clock += n - 1
+	t.hits += n - 1
+	t.stamp[i] = t.clock
+}
+
+// access is Access reporting also the entry that now holds addr's page.
+func (t *TLB) access(addr uint64) (entry int, hit bool) {
 	t.clock++
 	page := addr >> t.pageShift
 	base := int(page&t.setMask) * ways
@@ -77,7 +94,7 @@ func (t *TLB) Access(addr uint64) bool {
 		if p == page {
 			t.hits++
 			t.stamp[base+i] = t.clock
-			return true
+			return base + i, true
 		}
 	}
 	t.misses++
@@ -104,7 +121,7 @@ func (t *TLB) Access(addr uint64) bool {
 	}
 	t.pages[victim] = page
 	t.stamp[victim] = t.clock
-	return false
+	return victim, false
 }
 
 // Stats returns cumulative hits and misses.

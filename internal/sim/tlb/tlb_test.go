@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/xrand"
@@ -88,5 +89,24 @@ func TestBadParamsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestAccessNMatchesRepeatedAccess: AccessN(addr, n) leaves the TLB exactly
+// as n back-to-back Access(addr) calls do, whether the probe hits, fills an
+// empty entry or evicts.
+func TestAccessNMatchesRepeatedAccess(t *testing.T) {
+	closed, looped := New(64, 4096), New(64, 4096)
+	rng := xrand.New(5)
+	for i := 0; i < 20_000; i++ {
+		addr := rng.Uint64n(1 << 24)
+		n := 1 + rng.Uint64n(70)
+		closed.AccessN(addr, n)
+		for k := uint64(0); k < n; k++ {
+			looped.Access(addr)
+		}
+	}
+	if !reflect.DeepEqual(closed, looped) {
+		t.Error("AccessN diverged from repeated Access")
 	}
 }

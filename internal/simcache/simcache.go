@@ -53,6 +53,9 @@ type Stats struct {
 	// Hits counts Do calls served from a stored or in-flight computation;
 	// Misses counts Do calls that executed their compute function.
 	Hits, Misses uint64
+	// Bypasses counts runs the caller simulated without a lookup because
+	// they have no key or must not be served from memory (see Bypass).
+	Bypasses uint64
 	// Entries is the number of completed results currently stored.
 	Entries int
 }
@@ -63,8 +66,9 @@ type Cache[V any] struct {
 	mu      sync.Mutex
 	entries map[Key]*entry[V]
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	bypasses atomic.Uint64
 }
 
 type entry[V any] struct {
@@ -203,6 +207,10 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return zero, false
 }
 
+// Bypass records one computation its caller ran without Do, so work the
+// cache could not serve still shows in Stats.
+func (c *Cache[V]) Bypass() { c.bypasses.Add(1) }
+
 // Stats snapshots the cache counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
@@ -217,5 +225,5 @@ func (c *Cache[V]) Stats() Stats {
 		}
 	}
 	c.mu.Unlock()
-	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Bypasses: c.bypasses.Load(), Entries: n}
 }

@@ -215,3 +215,23 @@ func TestConcurrentMixed(t *testing.T) {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, goroutines*iterations)
 	}
 }
+
+// Bypass counts apart from hits and misses and survives concurrent use.
+func TestBypassCounted(t *testing.T) {
+	c := New[int]()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Bypass()
+		}()
+	}
+	wg.Wait()
+	if _, _, err := c.Do(KeyOf("k"), func() (int, error) { return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Bypasses != 8 || st.Misses != 1 || st.Hits != 0 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 8 bypasses, 1 miss, 0 hits, 1 entry", st)
+	}
+}
